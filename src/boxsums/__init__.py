@@ -24,7 +24,6 @@ from .characters import (
     char_interval_sum,
     char_moment,
     char_power,
-    mult_char_eval,
 )
 from .counts import (
     CountResult,

@@ -1,7 +1,8 @@
 """Additive and multiplicative characters modulo p.
 
 Includes the additive spectrum transform of a residue distribution
-(direct O(p^2) reference plus an FFT-accelerated path) and moment sums
+(always by FFT, O(p log p); the O(p^2) direct sum is kept only as the
+reference the tests and the verify suite compare against) and moment sums
 of incomplete character sums along dilated intervals.
 """
 
@@ -15,9 +16,6 @@ import numpy as np
 
 from .errors import LambdaDivisibleError, PrincipalCharacterError
 from .modular import PrimeContext
-
-# p at or below which additive_spectrum defaults to the direct method.
-DIRECT_SPECTRUM_LIMIT = 4096
 
 
 @lru_cache(maxsize=64)
@@ -56,10 +54,10 @@ class MultChar:
     def table(self) -> np.ndarray:
         """Values chi(x) for x = 0..p-1 (chi(0) = 0)."""
         if self._table is None:
-            p, m = self.ctx.p, self.ctx.p - 1
-            # Reduce a*ind before the trig call to bound rounding error.
-            angles = (self.a * self.ctx.index) % m
-            vals = np.exp(2j * np.pi * angles / m)
+            m = self.ctx.p - 1
+            # a*ind reduced mod p-1 indexes the (p-1)-th roots; index[0] = -1
+            # lands on a valid root that is then zeroed.
+            vals = _root_table(m)[(self.a * self.ctx.index) % m]
             vals[0] = 0.0
             vals.setflags(write=False)
             self._table = vals
@@ -67,11 +65,6 @@ class MultChar:
 
     def __call__(self, x: int) -> complex:
         return complex(self.table()[x % self.ctx.p])
-
-
-def mult_char_eval(chi: MultChar, x: int) -> complex:
-    """chi(x), with chi(0) = 0."""
-    return chi(x)
 
 
 def char_power(chi: MultChar, e: int) -> MultChar:
@@ -121,14 +114,12 @@ def _spectrum_fast(dist: ResidueDistribution) -> np.ndarray:
     return dist.ctx.p * np.fft.ifft(dist.values)
 
 
-def additive_spectrum(dist: ResidueDistribution, method: str = "auto") -> Spectrum:
+def additive_spectrum(dist: ResidueDistribution, method: str = "fast") -> Spectrum:
     """Transform a residue distribution: values[w] = sum_v dist[v]*e_p(w*v).
 
-    method: "direct" (O(p^2) reference), "fast" (FFT, O(p log p)), or
-    "auto" (direct at small p, fast above DIRECT_SPECTRUM_LIMIT).
+    method: "fast" (FFT, O(p log p)) at every p; "direct" is the O(p^2)
+    reference that the method-agreement checks call by name.
     """
-    if method == "auto":
-        method = "direct" if dist.ctx.p <= DIRECT_SPECTRUM_LIMIT else "fast"
     if method == "direct":
         values = _spectrum_direct(dist)
     elif method == "fast":

@@ -107,6 +107,8 @@ class SumSpec:
     lam: int = 1
 
     def __post_init__(self) -> None:
+        # Reduced once here, so lam * residue stays below p^2 < 2^62 in int64.
+        self.lam = int(self.lam) % self.ctx.p
         if self.box.n != len(self.e):
             raise ValueError("box and exponent dimensions disagree")
         wdim = self.weights.dimension()
@@ -176,8 +178,8 @@ def monomial_sum_naive(spec: SumSpec) -> SumResult:
 def monomial_sum_bilinear(spec: SumSpec) -> SumResult:
     """Bilinear evaluation through the two half-box distributions.
 
-    Splits at s = floor(n/2), transforms the second half, and contracts:
-    sum_u d1[u] * hat_d2[lam*u mod p].
+    Splits at s = floor(n/2), transforms the second half, and contracts
+    over the support of d1: sum_u d1[u] * hat_d2[lam*u mod p].
     """
     if spec.n < 2:
         raise DimensionTooSmallError("bilinear path needs n >= 2")
@@ -186,8 +188,8 @@ def monomial_sum_bilinear(spec: SumSpec) -> SumResult:
     d1 = monomial_value_distribution(spec, 0, s)
     d2 = monomial_value_distribution(spec, s, spec.n)
     hat = additive_spectrum(d2).values
-    u = np.arange(p, dtype=np.int64)
-    value = complex(d1.values @ hat[(spec.lam * u) % p])
+    u = np.flatnonzero(d1.values)
+    value = complex(d1.values[u] @ hat[(spec.lam * u) % p])
     terms = _slice_terms(spec, 0, s) * _slice_terms(spec, s, spec.n)
     return SumResult(value=value, terms=terms, method="bilinear")
 
@@ -229,15 +231,16 @@ def character_sum_naive(spec: SumSpec, chi: MultChar) -> SumResult:
 
 def character_sum_split(spec: SumSpec, chi: MultChar) -> SumResult:
     """Evaluation through the leading (n-1)-coordinate distribution d0:
-    sum_u d0[u] * sum_x rho_n(x) chi(u * x^{e_n} + lam)."""
+    sum_u d0[u] * sum_x rho_n(x) chi(u * x^{e_n} + lam), with the inner sum
+    built only for u in the support of d0."""
     if spec.n < 2:
         raise DimensionTooSmallError("split path needs n >= 2")
     p = spec.ctx.p
     d0 = monomial_value_distribution(spec, 0, spec.n - 1)
     pv, w = _coordinate_data(spec, spec.n - 1)
-    u = np.arange(p, dtype=np.int64)
+    u = np.flatnonzero(d0.values)
     inner = chi.table()[(np.outer(u, pv) + spec.lam) % p] @ w
-    value = complex(d0.values @ inner)
+    value = complex(d0.values[u] @ inner)
     terms = _slice_terms(spec, 0, spec.n - 1) * len(pv)
     return SumResult(value=value, terms=terms, method="split")
 
@@ -247,7 +250,7 @@ def cauchy_majorant(spec: SumSpec) -> float:
     sqrt(p * sum|d1|^2 * sum|d2|^2) over the two half-box distributions."""
     if spec.n < 2:
         raise DimensionTooSmallError("majorant needs n >= 2")
-    if spec.lam % spec.ctx.p == 0:
+    if spec.lam == 0:
         raise LambdaDivisibleError("lam must be coprime to p")
     s = spec.n // 2
     d1 = monomial_value_distribution(spec, 0, s)
@@ -265,7 +268,7 @@ def holder_majorant(spec: SumSpec, chi: MultChar, r: int) -> float:
         raise DimensionTooSmallError("majorant needs n >= 2")
     if chi.is_principal:
         raise PrincipalCharacterError("majorant needs a nonprincipal character")
-    if spec.lam % spec.ctx.p == 0:
+    if spec.lam == 0:
         raise LambdaDivisibleError("lam must be coprime to p")
     if r < 1:
         raise ValueError("moment order r must be >= 1")

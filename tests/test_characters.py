@@ -94,6 +94,15 @@ class TestMultChar:
             total = sum(MultChar(ctx, a)(x) for x in range(p))
             assert abs(total) < 1e-9
 
+    @pytest.mark.parametrize("p", [5, 101, 1009, 10007])
+    def test_table_matches_exp_formula_exactly(self, p):
+        ctx = build_context(p)
+        m = p - 1
+        for a in (1, 2, m // 2, m - 1):
+            want = np.exp(2j * np.pi * ((a * ctx.index) % m) / m)
+            want[0] = 0.0
+            assert np.array_equal(MultChar(ctx, a).table(), want)
+
     def test_char_power(self, ctx11):
         chi = MultChar(ctx11, 3)
         sq = char_power(chi, 2)
@@ -136,6 +145,7 @@ class TestSpectrum:
         dist = ResidueDistribution(ctx, vals)
         direct = additive_spectrum(dist, "direct").values
         fast = additive_spectrum(dist, "fast").values
+        assert np.array_equal(additive_spectrum(dist).values, fast)
         scale = 1.0 + np.abs(direct).max()
         assert np.abs(direct - fast).max() / scale < 1e-8
 

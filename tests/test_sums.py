@@ -222,6 +222,70 @@ class TestCharacterSums:
             assert abs(naive.value - fast.value) < agreement_tolerance(naive.terms)
 
 
+class TestSupportRestriction:
+    """Bilinear and split contract only over the support of d1 / d0."""
+
+    @staticmethod
+    def _assert_agree(spec, chi):
+        naive = monomial_sum_naive(spec)
+        fast = monomial_sum_bilinear(spec)
+        assert fast.terms == naive.terms
+        assert abs(naive.value - fast.value) < agreement_tolerance(naive.terms)
+        naive = character_sum_naive(spec, chi)
+        fast = character_sum_split(spec, chi)
+        assert fast.terms == naive.terms
+        assert abs(naive.value - fast.value) < agreement_tolerance(naive.terms)
+
+    def test_full_support(self):
+        ctx = build_context(101)
+        spec = _spec(ctx, (0, 0), 100, (1, 3), lam=17)
+        assert np.count_nonzero(monomial_value_distribution(spec, 0, 1).values) == 100
+        self._assert_agree(spec, MultChar(ctx, 7))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_box_with_multiples_of_p(self, n):
+        ctx = build_context(11)
+        spec = _spec(ctx, (5, 9, 20)[:n], 10, (2, -1, 1)[:n], lam=3)
+        assert monomial_sum_naive(spec).terms == 9**n
+        self._assert_agree(spec, MultChar(ctx, 4))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cancelling_weights_leave_exact_zeros(self, n):
+        # x and 13-x have the same square: weights 1 and -1 cancel exactly
+        # at the squares of 4, 5, 6, and the first-coordinate mass there is 0.
+        ctx = build_context(13)
+        first = [1.0] * 6 + [-1.0, -1.0, -1.0, 0.5, 0.5, 0.5]
+        tables = [first] + [[0.6 + 0.8j if x % 2 else 1.0 for x in range(12)]] * (n - 1)
+        spec = _spec(ctx, (0,) * n, 12, (2,) + (1,) * (n - 1), TableWeights(tables), lam=5)
+        d = monomial_value_distribution(spec, 0, 1).values
+        assert all(d[x * x % 13] == 0 for x in (4, 5, 6))
+        self._assert_agree(spec, MultChar(ctx, 5))
+
+
+@pytest.fixture(scope="module")
+def ctx_large():
+    return build_context(1000003)
+
+
+class TestLambdaReduction:
+    @pytest.mark.parametrize("shift", [2**33, 2**64, 2**200, -7], ids=["2^33", "2^64", "2^200", "-7"])
+    def test_shift_by_multiple_of_p(self, ctx_large, shift):
+        # Unreduced, lam = 5 + p * 2**33 makes the int64 products
+        # lam * residue wrap around.
+        ctx, p = ctx_large, ctx_large.p
+        chi = MultChar(ctx, 3)
+        base = _spec(ctx, (3, 40), 50, (2, 3), lam=5)
+        shifted = _spec(ctx, (3, 40), 50, (2, 3), lam=5 + p * shift)
+        assert shifted.lam == 5
+        for evaluate in (monomial_sum_naive, monomial_sum_bilinear):
+            assert evaluate(shifted).value == evaluate(base).value
+        for evaluate in (character_sum_naive, character_sum_split):
+            assert evaluate(shifted, chi).value == evaluate(base, chi).value
+        naive, fast = monomial_sum_naive(base), monomial_sum_bilinear(base)
+        assert abs(naive.value - (2.1844 - 6.5830j)) < 1e-3
+        assert abs(naive.value - fast.value) < agreement_tolerance(naive.terms)
+
+
 class TestCauchyMajorant:
     def test_single_tuple(self, ctx5):
         spec = _spec(ctx5, (0, 0), 1, (1, 1))
