@@ -3,6 +3,8 @@
 All values are computed with the implied constant and the h^{o(1)} factor
 set to 1; empirical calibration constants live in the harness, never here.
 Fractional powers go through float exponentiation (relative error ~1e-12).
+``DIMS`` is the one table of supported dimensions per bound family, and the
+majorants that the calibrated count and moment ratios divide by live here too.
 """
 
 from __future__ import annotations
@@ -24,6 +26,23 @@ T_ALMOST = "t-almost"        # character sums, almost all primes, n >= 2
 T_MOMENT_ALMOST = "t-moment-almost"  # moment version, almost all primes, r >= 2
 
 SELECTORS = (S_ALL, T_ALL, T_MOMENT, S_ALMOST, T_ALMOST, T_MOMENT_ALMOST)
+
+# Dimensions checked per family; the almost-all bounds accept any n >= 2.
+DIMS = {
+    S_ALL: (4, 5, 6, 7),
+    T_ALL: (4, 5, 6, 7),
+    T_MOMENT: (3, 4),
+    S_ALMOST: (2, 3, 4, 5, 6),
+    T_ALMOST: (2, 3, 4, 5, 6),
+    T_MOMENT_ALMOST: (2, 3, 4, 5, 6),
+}
+
+# Nontriviality exponents of the families with a finite set of dimensions.
+_ALPHA = {
+    S_ALL: dict(zip(DIMS[S_ALL], (0.25, 0.2, 1 / 6, 1 / 6), strict=True)),
+    T_ALL: dict(zip(DIMS[T_ALL], (0.25, 0.2, 1 / 6, 1 / 6), strict=True)),
+    T_MOMENT: dict(zip(DIMS[T_MOMENT], (0.25, 1 / 6), strict=True)),
+}
 
 
 @dataclass
@@ -93,14 +112,18 @@ def character_sum_bound_moment(n: int, h: int, p: int) -> BoundValue:
     raise UnsupportedDimensionError(f"no moment bound for n={n}")
 
 
+def almost_all_terms(n: int, h: int, p: int) -> tuple[float, float, float]:
+    """Terms h^{n/2} p^{1/2}, h^{n/2+ceil(n/2)/2-1/4} p^{1/4}, h^{n-1/2} of the almost-all bound."""
+    t = (n + 1) // 2
+    return h ** (n / 2) * p**0.5, h ** (n / 2 + t / 2 - 0.25) * p**0.25, h ** (n - 0.5)
+
+
 def monomial_sum_bound_almost_all(n: int, h: int, p: int) -> BoundValue:
-    """Almost-all-primes bound: h^{n/2} p^{1/2} + h^{n/2+ceil(n/2)/2-1/4} p^{1/4}
-    + h^{n-1/2}, for n >= 2."""
+    """Almost-all-primes bound: the sum of almost_all_terms, for n >= 2."""
     if n < 2:
         raise UnsupportedDimensionError("need n >= 2")
-    t = (n + 1) // 2
-    v = h ** (n / 2) * p**0.5 + h ** (n / 2 + t / 2 - 0.25) * p**0.25 + h ** (n - 0.5)
-    return BoundValue(value=v, branch=f"n={n}")
+    first, middle, last = almost_all_terms(n, h, p)
+    return BoundValue(value=first + middle + last, branch=f"n={n}")
 
 
 def character_sum_bound_almost_all(n: int, h: int, p: int) -> BoundValue:
@@ -147,22 +170,28 @@ def bound_value(selector: str, n: int, h: int, p: int, r: int = 2) -> BoundValue
 def nontrivial_threshold(selector: str, n: int) -> float:
     """Exponent alpha such that the bound beats the trivial h^n once
     h >= p^{alpha+eps}."""
-    if selector in (S_ALL, T_ALL):
-        table = {4: 0.25, 5: 0.2, 6: 1 / 6, 7: 1 / 6}
-        if n not in table:
-            raise UnsupportedDimensionError(f"no every-prime bound for n={n}")
-        return table[n]
-    if selector == T_MOMENT:
-        table = {3: 0.25, 4: 1 / 6}
-        if n not in table:
-            raise UnsupportedDimensionError(f"no moment bound for n={n}")
-        return table[n]
-    if selector in (S_ALMOST, T_ALMOST):
-        if n < 2:
-            raise UnsupportedDimensionError("need n >= 2")
-        return 1 / n
-    if selector == T_MOMENT_ALMOST:
-        if n < 2:
-            raise UnsupportedDimensionError("need n >= 2")
-        return 1 / (2 * (n - 1))
-    raise ValueError(f"unknown bound selector {selector!r}")
+    if selector in _ALPHA:
+        if n not in _ALPHA[selector]:
+            raise UnsupportedDimensionError(f"no {selector} bound for n={n}")
+        return _ALPHA[selector][n]
+    if selector not in SELECTORS:
+        raise ValueError(f"unknown bound selector {selector!r}")
+    if n < 2:
+        raise UnsupportedDimensionError("need n >= 2")
+    return 1 / (2 * (n - 1)) if selector == T_MOMENT_ALMOST else 1 / n
+
+
+def count_growth_majorant(nu: int, h: int, p: int) -> float:
+    """Growth shape h^nu + h^{2nu} p^{-nu/d} of the product-pair count."""
+    d = count_saving_exponent(nu)
+    return h**nu + h ** (2 * nu) * p ** (-nu / d)
+
+
+def count_almost_all_majorant(nu: int, h: int, p: int) -> float:
+    """Almost-all-primes majorant h^nu + h^{2nu-1/2} p^{-1/2} of the pair count."""
+    return h**nu + h ** (2 * nu - 0.5) * p**-0.5
+
+
+def char_moment_shape(r: int, h: int, p: int) -> float:
+    """Shape of the r-th character moment, r in {1, 2}: h p or h^2 p + h^4 p^{1/2}."""
+    return h * p if r == 1 else h * h * p + h**4 * p**0.5

@@ -78,13 +78,11 @@ class ResidueDistribution:
 
     ctx: PrimeContext
     values: np.ndarray
-    total_mass: float = field(init=False)
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.shape != (self.ctx.p,):
             raise ValueError(f"distribution must have length {self.ctx.p}")
-        self.total_mass = float(np.abs(self.values).sum())
 
 
 @dataclass

@@ -26,7 +26,7 @@ from .harness import (
 )
 from .modular import ExponentVector, build_context
 from .sums import Box, PhaseWeights, SumSpec, TableWeights, UnitWeights
-from .verify import run_verify
+from .verify import DEFAULT_PRIMES, run_verify
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -132,7 +132,7 @@ def _config_from_args(args: argparse.Namespace, mode: str) -> ExperimentConfig:
     if args.threads:
         cfg.threads = args.threads
     if mode == "verify" and not cfg.primes:
-        cfg.primes = [5, 7, 11, 13, 31, 101]
+        cfg.primes = list(DEFAULT_PRIMES)
     if mode in ("sweep", "calibrate") and not cfg.primes:
         cfg.primes = [101, 1009]
     if mode == "prime-sweep":

@@ -81,12 +81,7 @@ class ExperimentConfig:
             raise ConfigInvalidError("no primes configured")
         if self.mode == "prime-sweep" and self.prime_range is None:
             raise ConfigInvalidError("prime-sweep requires prime_range")
-        for p in self.primes:
-            for h in self.h:
-                if h >= p:
-                    # Cells with h >= p are skipped at run time with a warning;
-                    # an all-invalid configuration is rejected here.
-                    pass
+        # Cells with h >= p are skipped at run time; all-invalid configs are rejected.
         if self.primes and self.h and all(h >= p for p in self.primes for h in self.h):
             raise ConfigInvalidError("every configured (p, h) cell violates h < p")
 

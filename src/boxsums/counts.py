@@ -13,8 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import bounds
 from .errors import RoundingUnstableError
-from .modular import ExponentVector, PrimeContext, pow_mod
+from .modular import ExponentVector, PrimeContext, build_context, is_prime, pow_mod
 
 
 @dataclass
@@ -90,6 +91,27 @@ def count_monomial_pairs_brute(
             raise ValueError("each side length must satisfy 1 <= h_j < p")
     m = _value_frequencies(ctx, h, k, e.e)
     return CountResult(value=int(sum(int(c) ** 2 for c in m)), method="brute")
+
+
+@dataclass
+class PrimeSweepRow:
+    p: int
+    count: int
+    majorant: float
+    ratio: float
+
+
+def almost_all_rows(nu: int, h: int, k: int, lo: int, hi: int) -> list[PrimeSweepRow]:
+    """Counts against bounds.count_almost_all_majorant, one row per prime
+    p in [max(lo, 3), hi] with p > h; the prime sweep and its probe share it."""
+    rows = []
+    for p in range(max(lo, 3), hi + 1):
+        if not is_prime(p) or p <= h:
+            continue
+        v = count_product_pairs_brute(build_context(p), nu, h, k).value
+        majorant = bounds.count_almost_all_majorant(nu, h, p)
+        rows.append(PrimeSweepRow(p=p, count=v, majorant=majorant, ratio=v / majorant))
+    return rows
 
 
 @dataclass

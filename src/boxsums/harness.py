@@ -14,26 +14,21 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-from . import bounds, counts, sums
+from . import bounds, characters, counts, sums
 from .characters import MultChar
 from .config import ExperimentConfig
 from .errors import ConfigInvalidError, OutOfRangeError, VerifyNotGreenError
-from .modular import build_context, is_prime
+from .modular import build_context
 from .sampling import draw_coprime_lambda, draw_spec, substream
-from .verify import run_verify
+from .verify import DEFAULT_PRIMES, count_growth_ratios, run_verify
 
 ARTIFACT_VERSION = "0.1.0"
 
 _S_SELECTORS = (bounds.S_ALL, bounds.S_ALMOST)
 
-_DEFAULT_DIMS = {
-    bounds.S_ALL: (4, 5, 6, 7),
-    bounds.T_ALL: (4, 5, 6, 7),
-    bounds.T_MOMENT: (3, 4),
-    bounds.S_ALMOST: (2, 3, 4, 5, 6),
-    bounds.T_ALMOST: (2, 3, 4, 5, 6),
-    bounds.T_MOMENT_ALMOST: (2, 3, 4),
-}
+# Default sweep dimensions: bounds.DIMS, but t-moment-almost stays at n <= 4
+# because the benchmark's stored sweep-t reference pins those records.
+_SWEEP_DIMS = {**bounds.DIMS, bounds.T_MOMENT_ALMOST: (2, 3, 4)}
 
 # Workload guard: skip cells whose naive box has more tuples than this.
 _MAX_CELL_TUPLES = 2_000_000
@@ -276,9 +271,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     warnings: list[str] = []
     cells: list[tuple[str, int, int, int]] = []
     for selector in selectors:
-        dims = config.n or list(_DEFAULT_DIMS[selector])
+        dims = config.n or _SWEEP_DIMS[selector]
         for n in dims:
-            if n not in _DEFAULT_DIMS[selector]:
+            if n not in bounds.DIMS[selector]:
                 warnings.append(f"skipping n={n} for {selector}: unsupported dimension")
                 continue
             for p in config.primes:
@@ -331,19 +326,11 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
 
 @dataclass
-class PrimeSweepRow:
-    p: int
-    count: int
-    majorant: float
-    ratio: float
-
-
-@dataclass
 class PrimeSweepReport:
     nu: int
     h: int
     k: int
-    rows: list[PrimeSweepRow]
+    rows: list[counts.PrimeSweepRow]
     violation_fractions: dict[str, float]
 
     @property
@@ -363,15 +350,9 @@ def run_prime_sweep(config: ExperimentConfig, store: CalibrationStore | None = N
     nu = config.nu
     h = config.h[0] if config.h else 6
     k = config.k
-    primes = [p for p in range(max(lo, 3), hi + 1) if is_prime(p) and p > h]
-    if not primes:
+    rows = counts.almost_all_rows(nu, h, k, lo, hi)
+    if not rows:
         raise ConfigInvalidError(f"no usable primes in range [{lo}, {hi}]")
-    rows = []
-    for p in primes:
-        ctx = build_context(p)
-        v = counts.count_product_pairs_brute(ctx, nu, h, k).value
-        majorant = h**nu + h ** (2 * nu - 0.5) * p**-0.5
-        rows.append(PrimeSweepRow(p=p, count=v, majorant=majorant, ratio=v / majorant))
     constants = list(_CONSTANT_LADDER)
     if store is not None:
         entry = store.get(f"count-almost-all/nu={nu}")
@@ -406,11 +387,8 @@ def write_prime_sweep_json(report: PrimeSweepReport, path: str) -> None:
 
 # ------------------------------------------------------------------ calibrate
 
-_CALIBRATION_SELECTORS = {
-    bounds.S_ALL: (4, 5, 6, 7),
-    bounds.T_MOMENT: (3, 4),
-    bounds.S_ALMOST: (2, 3, 4, 5, 6),
-}
+# Families whose theorem ratios are calibrated, over all their bounds.DIMS.
+CALIBRATED_SELECTORS = (bounds.S_ALL, bounds.T_MOMENT, bounds.S_ALMOST)
 
 _CALIBRATION_PRIMES = (101, 1009)
 _MOMENT_PRIMES = (101, 257)
@@ -419,17 +397,32 @@ _MOMENT_PRIMES = (101, 257)
 def _verify_config(config: ExperimentConfig) -> ExperimentConfig:
     return ExperimentConfig(
         mode="verify",
-        primes=config.primes or [5, 7, 11, 13, 31, 101],
+        primes=config.primes or list(DEFAULT_PRIMES),
         seed=config.seed if config.seed is not None else 0,
         trials=5,
     )
+
+
+def char_moment_shape_ratio(seed: int, r: int) -> float:
+    """Max of char_moment over bounds.char_moment_shape, 10 seeded samples per prime."""
+    best = 0.0
+    for p in _MOMENT_PRIMES:
+        ctx = build_context(p)
+        for i in range(10):
+            rng = substream(seed, p, 70_000, r, i)
+            a = int(rng.integers(1, p - 1))
+            h = int(rng.integers(3, p))
+            k = int(rng.integers(0, p))
+            lam = draw_coprime_lambda(rng, p)
+            moment = characters.char_moment(MultChar(ctx, a), k, h, lam, None, r)
+            best = max(best, moment / bounds.char_moment_shape(r, h, p))
+    return best
 
 
 def run_calibrate(
     config: ExperimentConfig,
     store: CalibrationStore,
     emit=print,
-    skip_verify: bool = False,
 ) -> CalibrationStore:
     """Record max observed ratios per experiment into the store.
 
@@ -438,14 +431,13 @@ def run_calibrate(
     """
     if config.seed is None:
         raise ConfigInvalidError("calibrate requires a seed")
-    if not skip_verify:
-        report = run_verify(_verify_config(config), store=None, emit=lambda line: None)
-        if not report.passed:
-            raise VerifyNotGreenError("verification suite is not green")
+    report = run_verify(_verify_config(config), store=None, emit=lambda line: None)
+    if not report.passed:
+        raise VerifyNotGreenError("verification suite is not green")
 
     # Theorem-ratio maxima over the threshold-spanning grid.
-    for selector, dims in _CALIBRATION_SELECTORS.items():
-        for n in dims:
+    for selector in CALIBRATED_SELECTORS:
+        for n in bounds.DIMS[selector]:
             sweep_cfg = ExperimentConfig(
                 mode="sweep",
                 primes=list(_CALIBRATION_PRIMES),
@@ -467,21 +459,7 @@ def run_calibrate(
 
     # Character-moment shape constants.
     for r in (1, 2):
-        best = 0.0
-        for p in _MOMENT_PRIMES:
-            ctx = build_context(p)
-            for i in range(10):
-                rng = substream(config.seed, p, 70_000, r, i)
-                a = int(rng.integers(1, p - 1))
-                h = int(rng.integers(3, p))
-                kk = int(rng.integers(0, p))
-                lam = draw_coprime_lambda(rng, p)
-                chi = MultChar(ctx, a)
-                from .characters import char_moment
-
-                moment = char_moment(chi, kk, h, lam, None, r)
-                shape = h * p if r == 1 else h * h * p + h**4 * p**0.5
-                best = max(best, moment / shape)
+        best = char_moment_shape_ratio(config.seed, r)
         store.update(
             f"char-moment/r={r}", best, f"p={_MOMENT_PRIMES}, 10 samples each", config.seed
         )
@@ -489,16 +467,7 @@ def run_calibrate(
 
     # Product-count growth constants.
     for nu in (2, 3):
-        d = bounds.count_saving_exponent(nu)
-        best = 0.0
-        for p in (5, 7, 11, 13, 31, 101):
-            ctx = build_context(p)
-            for h in range(3, 9):
-                if h >= p:
-                    continue
-                for kk in (0, 1, -1):
-                    v = counts.count_product_pairs_brute(ctx, nu, h, kk).value
-                    best = max(best, v / (h**nu + h ** (2 * nu) * p ** (-nu / d)))
+        best = max(count_growth_ratios(nu))
         store.update(f"count-growth/nu={nu}", best, "p<=101, h=3..8, k in {0,1,-1}", config.seed)
         emit(f"calibrated count-growth/nu={nu}: max ratio {best:.6f}")
 

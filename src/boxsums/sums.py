@@ -65,8 +65,9 @@ class PhaseWeights:
         self.lambdas = tuple(int(v) for v in lambdas)
 
     def coordinate_values(self, p: int, j: int, k_j: int, h: int) -> np.ndarray:
-        x = np.arange(k_j + 1, k_j + h + 1, dtype=np.int64)
-        return _root_table(p)[(self.lambdas[j] * x) % p].copy()
+        # Both factors reduced first, so lambda_j * x stays below p^2 < 2^62.
+        x = np.arange(k_j + 1, k_j + h + 1, dtype=np.int64) % p
+        return _root_table(p)[(self.lambdas[j] % p * x) % p].copy()
 
     def dimension(self) -> int | None:
         return len(self.lambdas)

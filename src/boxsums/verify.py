@@ -18,9 +18,13 @@ import numpy as np
 from . import bounds, characters, counts, sums
 from .characters import MultChar, ResidueDistribution
 from .errors import ConfigInvalidError, OutOfRangeError
-from .modular import ExponentVector, build_context, inv_mod, is_prime, monomial_eval, pow_mod
+from .modular import ExponentVector, build_context, inv_mod, monomial_eval, pow_mod
 from .sampling import draw_coprime_lambda, draw_spec, substream
 from .sums import Box, SumSpec, UnitWeights, agreement_tolerance
+
+
+# Grid primes when a run names none.
+DEFAULT_PRIMES = (5, 7, 11, 13, 31, 101)
 
 
 @lru_cache(maxsize=None)
@@ -32,7 +36,7 @@ def _ctx(p: int):
 class VerifyGrid:
     """Grid parameters shared by the checks."""
 
-    primes: tuple[int, ...] = (5, 7, 11, 13, 31, 101)
+    primes: tuple[int, ...] = DEFAULT_PRIMES
     ns: tuple[int, ...] = (2, 3, 4)
     hs: tuple[int, ...] = (1, 2, 3, 8)
     trials: int = 20
@@ -570,26 +574,29 @@ def _check_product_inequality(grid: VerifyGrid, store) -> CheckResult:
     return CheckResult("product-inequality-gcd", count, 0.0, failures, notes=notes)
 
 
+def count_growth_ratios(nu: int) -> list[float]:
+    """Counts over bounds.count_growth_majorant on the count-growth/nu calibration grid."""
+    ratios = []
+    for p in _COUNT_PRIMES + (101,):
+        ctx = _ctx(p)
+        for h in range(3, 9):
+            if h >= p:
+                continue
+            for k in (0, 1, -1):
+                v = counts.count_product_pairs_brute(ctx, nu, h, k).value
+                ratios.append(v / bounds.count_growth_majorant(nu, h, p))
+    return ratios
+
+
 @check("count-growth-regression")
 def _check_count_growth(grid: VerifyGrid, store) -> CheckResult:
     failures, count = [], 0
-    worst = 0.0
     per_nu = {}
     for nu in (2, 3):
-        d = bounds.count_saving_exponent(nu)
-        best = 0.0
-        for p in _COUNT_PRIMES + (101,):
-            ctx = _ctx(p)
-            for h in range(3, 9):
-                if h >= p:
-                    continue
-                for k in (0, 1, -1):
-                    v = counts.count_product_pairs_brute(ctx, nu, h, k).value
-                    ratio = v / (h**nu + h ** (2 * nu) * p ** (-nu / d))
-                    best = max(best, ratio)
-                    count += 1
+        ratios = count_growth_ratios(nu)
+        best = max(ratios)
+        count += len(ratios)
         per_nu[nu] = best
-        worst = max(worst, best)
         if store is not None:
             entry = store.get(f"count-growth/nu={nu}")
             if entry is not None and best > 2 * entry["max_ratio"]:
@@ -599,7 +606,7 @@ def _check_count_growth(grid: VerifyGrid, store) -> CheckResult:
     notes = "max ratios " + ", ".join(f"nu={k}: {v:.4f}" for k, v in per_nu.items())
     if store is None:
         notes += " (no calibration store; record-only)"
-    return CheckResult("count-growth-regression", count, worst, failures, notes=notes)
+    return CheckResult("count-growth-regression", count, max(per_nu.values()), failures, notes=notes)
 
 
 @check("count-almost-all-probe")
@@ -609,14 +616,8 @@ def _check_count_almost_all(grid: VerifyGrid, store) -> CheckResult:
     count = 0
     worst = 0.0
     for t in (500, 2000):
-        ratios = []
-        for p in range(t // 2, t + 1):
-            if not is_prime(p) or p <= h:
-                continue
-            ctx = build_context(p)
-            v = counts.count_product_pairs_brute(ctx, nu, h, k).value
-            ratios.append(v / (h**nu + h ** (2 * nu - 0.5) * p**-0.5))
-            count += 1
+        ratios = [row.ratio for row in counts.almost_all_rows(nu, h, k, t // 2, t)]
+        count += len(ratios)
         worst = max(worst, max(ratios))
         for c in (0.5, 1.0, 2.0, 4.0):
             frac = sum(r > c for r in ratios) / len(ratios)
@@ -627,15 +628,6 @@ def _check_count_almost_all(grid: VerifyGrid, store) -> CheckResult:
 
 
 # ---------------------------------------------------------------------- bounds
-
-_BOUND_DIMS = {
-    bounds.S_ALL: (4, 5, 6, 7),
-    bounds.T_ALL: (4, 5, 6, 7),
-    bounds.T_MOMENT: (3, 4),
-    bounds.S_ALMOST: (2, 3, 4, 5, 6),
-    bounds.T_ALMOST: (2, 3, 4, 5, 6),
-    bounds.T_MOMENT_ALMOST: (2, 3, 4, 5, 6),
-}
 
 _BOUND_PRIMES = (101, 1009, 10007)
 
@@ -648,7 +640,7 @@ def _log_grid(p: int) -> list[int]:
 @check("bound-monotone-h")
 def _check_bound_monotone(grid: VerifyGrid, store) -> CheckResult:
     failures, count = [], 0
-    for selector, dims in _BOUND_DIMS.items():
+    for selector, dims in bounds.DIMS.items():
         for n in dims:
             for p in _BOUND_PRIMES:
                 prev = None
@@ -675,7 +667,7 @@ def _check_bound_nontrivial(grid: VerifyGrid, store) -> CheckResult:
     """
     failures, count = [], 0
     raw_findings = 0
-    for selector, dims in _BOUND_DIMS.items():
+    for selector, dims in bounds.DIMS.items():
         for n in dims:
             alpha = bounds.nontrivial_threshold(selector, n)
             constant = 1.0
@@ -718,15 +710,7 @@ def _check_bound_middle(grid: VerifyGrid, store) -> CheckResult:
                 (h**6, h**9 * p**-0.75, h**12 * p**-1.5),
             ]
             # Middle term of the almost-all bound for even n.
-            for n in (2, 4, 6):
-                t = (n + 1) // 2
-                cases.append(
-                    (
-                        h ** (n / 2) * p**0.5,
-                        h ** (n / 2 + t / 2 - 0.25) * p**0.25,
-                        h ** (n - 0.5),
-                    )
-                )
+            cases.extend(bounds.almost_all_terms(n, h, p) for n in (2, 4, 6))
             for first, middle, last in cases:
                 count += 1
                 if middle > max(first, last) * (1 + 1e-12):

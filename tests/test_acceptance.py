@@ -7,11 +7,16 @@ from pathlib import Path
 import pytest
 
 from boxsums import bounds, counts, sums
-from boxsums.characters import MultChar, char_moment
 from boxsums.config import ExperimentConfig
-from boxsums.harness import CalibrationStore, run_prime_sweep, run_sweep, threshold_h_values
+from boxsums.harness import (
+    CALIBRATED_SELECTORS,
+    CalibrationStore,
+    char_moment_shape_ratio,
+    run_prime_sweep,
+    run_sweep,
+    threshold_h_values,
+)
 from boxsums.modular import build_context, is_prime
-from boxsums.sampling import draw_coprime_lambda, substream
 from boxsums.sums import agreement_tolerance
 from boxsums.verify import CHECKS, VerifyGrid
 
@@ -119,31 +124,12 @@ def test_criterion_6_char_moment_shape(store):
     for r in (1, 2):
         entry = store.get(f"char-moment/r={r}")
         assert entry is not None, f"missing calibration for char-moment/r={r}"
-        best = 0.0
-        for p in (101, 257):
-            ctx = build_context(p)
-            for i in range(10):
-                rng = substream(SEED, p, 70_000, r, i)
-                a = int(rng.integers(1, p - 1))
-                h = int(rng.integers(3, p))
-                k = int(rng.integers(0, p))
-                lam = draw_coprime_lambda(rng, p)
-                moment = char_moment(MultChar(ctx, a), k, h, lam, None, r)
-                shape = h * p if r == 1 else h * h * p + h**4 * p**0.5
-                best = max(best, moment / shape)
-        worst[r] = (best, 2 * entry["max_ratio"])
+        worst[r] = (char_moment_shape_ratio(SEED, r), 2 * entry["max_ratio"])
     ok = all(best <= cap for best, cap in worst.values())
     detail = "; ".join(
         f"r={r}: max ratio {best:.4f} vs cap {cap:.4f}" for r, (best, cap) in worst.items()
     )
     _report(6, "character-moment shape regression", ok, detail)
-
-
-_REGRESSION_SELECTORS = {
-    bounds.S_ALL: (4, 5, 6, 7),
-    bounds.T_MOMENT: (3, 4),
-    bounds.S_ALMOST: (2, 3, 4, 5, 6),
-}
 
 
 def _regression_sweep(selector: str, n: int) -> "list":
@@ -161,8 +147,8 @@ def _regression_sweep(selector: str, n: int) -> "list":
 def test_criterion_7_theorem_ratio_regression(store):
     breaches = []
     details = []
-    for selector, dims in _REGRESSION_SELECTORS.items():
-        for n in dims:
+    for selector in CALIBRATED_SELECTORS:
+        for n in bounds.DIMS[selector]:
             entry = store.get(f"{selector}/n={n}")
             assert entry is not None, f"missing calibration for {selector}/n={n}"
             records = _regression_sweep(selector, n)
@@ -183,8 +169,8 @@ def test_criterion_7_theorem_ratio_regression(store):
 def test_criterion_8_nontriviality_with_calibrated_constants(store):
     exceptions = []
     cells = 0
-    for selector, dims in _REGRESSION_SELECTORS.items():
-        for n in dims:
+    for selector in CALIBRATED_SELECTORS:
+        for n in bounds.DIMS[selector]:
             entry = store.get(f"{selector}/n={n}")
             constant = entry["max_ratio"]
             alpha = bounds.nontrivial_threshold(selector, n)

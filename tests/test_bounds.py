@@ -181,6 +181,25 @@ class TestDispatchAndThreshold:
         with pytest.raises(UnsupportedDimensionError):
             bounds.nontrivial_threshold(bounds.S_ALL, 3)
 
+    def test_dimension_table_is_supported(self):
+        for selector, dims in bounds.DIMS.items():
+            for n in dims:
+                assert 0 < bounds.nontrivial_threshold(selector, n) < 1
+                for h in (2, 10, 100):
+                    try:
+                        assert bounds.bound_value(selector, n, h, 1009).value > 0
+                    except OutOfRangeError:
+                        pass
+
+    @pytest.mark.parametrize("selector", [bounds.S_ALL, bounds.T_ALL, bounds.T_MOMENT])
+    def test_dimension_table_is_complete(self, selector):
+        dims = bounds.DIMS[selector]
+        for n in (min(dims) - 1, max(dims) + 1):
+            with pytest.raises(UnsupportedDimensionError):
+                bounds.nontrivial_threshold(selector, n)
+            with pytest.raises(UnsupportedDimensionError):
+                bounds.bound_value(selector, n, 10, 1009)
+
     def test_monotone_in_h(self):
         for selector in bounds.SELECTORS:
             for n in (4,) if selector in (bounds.S_ALL, bounds.T_ALL, bounds.T_MOMENT) else (2, 4):

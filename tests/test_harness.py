@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from boxsums import cli, sums
+from boxsums import cli, harness, sums
 from boxsums.characters import ResidueDistribution, additive_spectrum
 from boxsums.config import ExperimentConfig
 from boxsums.errors import ConfigInvalidError, VerifyNotGreenError
@@ -20,8 +21,9 @@ from boxsums.harness import (
 from boxsums.modular import build_context
 from boxsums.sampling import substream
 from boxsums.sums import SumResult
-from boxsums.verify import run_verify
+from boxsums.verify import VerifyReport, run_verify
 
+STORE_PATH = Path(__file__).resolve().parent.parent / "calibration" / "seed0.json"
 TIMING_COLUMNS = 2  # eval_ns, bound_ns sit last and are outside determinism
 
 
@@ -114,6 +116,16 @@ class TestSweep:
         result = run_sweep(_sweep_config(n=[3, 4]))
         assert any("unsupported dimension" in w for w in result.warnings)
 
+    def test_every_tabled_dimension_sweeps(self):
+        # n = 5 lies in bounds.DIMS but outside the default t-moment-almost grid.
+        result = run_sweep(_sweep_config(bounds=["t-moment-almost"], n=[5], h=[], trials=1))
+        assert result.records
+        assert not any("unsupported dimension" in w for w in result.warnings)
+
+    def test_default_t_moment_almost_grid(self):
+        result = run_sweep(_sweep_config(bounds=["t-moment-almost"], n=[], h=[], trials=1))
+        assert sorted({rec.n for rec in result.records}) == [2, 3, 4]
+
     def test_seed_required(self):
         with pytest.raises(ConfigInvalidError):
             run_sweep(_sweep_config(seed=None))
@@ -195,13 +207,16 @@ class TestCalibrationStore:
         assert store.get("anything") is None
 
     def test_committed_store_loads(self):
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parent.parent / "calibration" / "seed0.json"
-        store = CalibrationStore(str(path))
+        store = CalibrationStore(str(STORE_PATH))
         for key in ("s-all/n=4", "t-moment/n=3", "char-moment/r=1", "count-growth/nu=2"):
             entry = store.get(key)
             assert entry is not None and entry["max_ratio"] > 0
+
+
+@pytest.fixture
+def green_verify(monkeypatch):
+    """Stub calibration's verification gate with a green report."""
+    monkeypatch.setattr(harness, "run_verify", lambda *args, **kwargs: VerifyReport(results=[]))
 
 
 class TestCalibrate:
@@ -221,16 +236,28 @@ class TestCalibrate:
         with pytest.raises(VerifyNotGreenError):
             run_calibrate(cfg, CalibrationStore(str(tmp_path / "c.json")))
 
-    def test_idempotent_for_fixed_seed(self, tmp_path):
+    def test_idempotent_for_fixed_seed(self, tmp_path, green_verify):
         path = tmp_path / "c.json"
         cfg = ExperimentConfig(mode="calibrate", primes=[101], seed=0, trials=2)
         store = CalibrationStore(str(path))
-        run_calibrate(cfg, store, emit=lambda line: None, skip_verify=True)
+        run_calibrate(cfg, store, emit=lambda line: None)
         first = {k: v["max_ratio"] for k, v in store.entries.items()}
-        run_calibrate(cfg, store, emit=lambda line: None, skip_verify=True)
+        run_calibrate(cfg, store, emit=lambda line: None)
         second = {k: v["max_ratio"] for k, v in store.entries.items()}
         assert first == second
         assert "s-all/n=4" in first
+
+    def test_reproduces_committed_store(self, tmp_path, green_verify):
+        committed = CalibrationStore(str(STORE_PATH)).entries
+        store = CalibrationStore(str(tmp_path / "c.json"))
+        cfg = ExperimentConfig(mode="calibrate", seed=0, trials=50)
+        run_calibrate(cfg, store, emit=lambda line: None)
+        assert store.entries.keys() == committed.keys()
+        for key, entry in committed.items():
+            assert store.entries[key]["grid"] == entry["grid"], key
+            assert store.entries[key]["max_ratio"] == pytest.approx(
+                entry["max_ratio"], rel=1e-12, abs=0
+            ), key
 
 
 class TestVerifySuite:

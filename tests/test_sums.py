@@ -285,6 +285,25 @@ class TestLambdaReduction:
         assert abs(naive.value - (2.1844 - 6.5830j)) < 1e-3
         assert abs(naive.value - fast.value) < agreement_tolerance(naive.terms)
 
+    @pytest.mark.parametrize("shift", [2**45, 2**70], ids=["2^45", "2^70"])
+    def test_phase_shift_by_multiple_of_p(self, shift):
+        # Unreduced, lambda_1 * x wraps int64 at 2**45 and overflows at 2**70.
+        ctx = build_context(10007)
+        p, k = ctx.p, (40, 3)
+        chi = MultChar(ctx, 3)
+        base = _spec(ctx, k, 20, (1, -1), PhaseWeights((5, 7)))
+        shifted = _spec(ctx, k, 20, (1, -1), PhaseWeights((5 + p * shift, 7)))
+        for evaluate in (monomial_sum_naive, monomial_sum_bilinear):
+            assert evaluate(shifted).value == evaluate(base).value
+        for evaluate in (character_sum_naive, character_sum_split):
+            assert evaluate(shifted, chi).value == evaluate(base, chi).value
+        box = Box(k, 20)
+        assert (
+            kloosterman_sum(ctx, box, 1, (5 + p * shift, 7)).value
+            == kloosterman_sum(ctx, box, 1, (5, 7)).value
+        )
+        assert abs(monomial_sum_naive(base).value - (-2.5531 - 3.1322j)) < 1e-3
+
 
 class TestCauchyMajorant:
     def test_single_tuple(self, ctx5):
