@@ -2,8 +2,9 @@
 
 Includes the additive spectrum transform of a residue distribution
 (always by FFT, O(p log p); the O(p^2) direct sum is kept only as the
-reference the tests and the verify suite compare against) and moment sums
-of incomplete character sums along dilated intervals.
+reference the tests and the verify suite compare against) and the one
+kernel for dilated character sums sum_x w(x) chi(u*x + lam) and their moments,
+which reduces u, x and lam mod p; the interval and split sums all call it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LambdaDivisibleError, PrincipalCharacterError
-from .modular import PrimeContext
+from .modular import PrimeContext, interval_residues
 
 
 @lru_cache(maxsize=64)
@@ -138,6 +139,28 @@ def _interval_weights(h: int, rho: Sequence[complex] | None) -> np.ndarray:
     return w
 
 
+def dilated_char_sums(chi: MultChar, u, x: np.ndarray, lam: int, w: np.ndarray) -> np.ndarray:
+    """sum_x w(x) * chi(u*x + lam) for each u of an integer or int64 array; u, x
+    and lam are reduced mod p first, so u*x + lam < p^2 < 2^62 in int64."""
+    p = chi.ctx.p
+    ux = np.outer(np.asarray(u % p, dtype=np.int64), x % p)
+    return chi.table()[(ux + lam % p) % p] @ w
+
+
+def dilated_moment(chi: MultChar, x: np.ndarray, lam: int, w: np.ndarray, r: int) -> float:
+    """sum_{u=1}^{p-1} |dilated_char_sums(chi, u, x, lam, w)|^{2r}; requires a
+    nonprincipal chi, gcd(lam, p) = 1 and r >= 1."""
+    p = chi.ctx.p
+    if chi.is_principal:
+        raise PrincipalCharacterError("moment sum needs a nonprincipal character")
+    if lam % p == 0:
+        raise LambdaDivisibleError("lam must be coprime to p")
+    if r < 1:
+        raise ValueError("moment order r must be >= 1")
+    inner = dilated_char_sums(chi, np.arange(1, p, dtype=np.int64), x, lam, w)
+    return float((np.abs(inner) ** (2 * r)).sum())
+
+
 def char_interval_sum(
     chi: MultChar,
     k: int,
@@ -147,12 +170,8 @@ def char_interval_sum(
     rho: Sequence[complex] | None = None,
 ) -> complex:
     """sum_{x=k+1}^{k+h} rho(x) * chi(u*x + lam); chi(0) terms vanish."""
-    p = chi.ctx.p
-    if not 1 <= h < p:
-        raise ValueError(f"need 1 <= h < p, got h={h}, p={p}")
-    x = np.arange(k + 1, k + h + 1, dtype=np.int64)
-    w = _interval_weights(h, rho)
-    return complex(w @ chi.table()[(u * x + lam) % p])
+    x = interval_residues(k, h, chi.ctx.p)
+    return complex(dilated_char_sums(chi, u, x, lam, _interval_weights(h, rho))[0])
 
 
 def char_moment(
@@ -163,21 +182,7 @@ def char_moment(
     rho: Sequence[complex] | None = None,
     r: int = 1,
 ) -> float:
-    """sum_{u=1}^{p-1} |sum_{x=k+1}^{k+h} rho(x) chi(u*x+lam)|^{2r}.
-
-    Requires a nonprincipal chi and gcd(lam, p) = 1.
-    """
-    p = chi.ctx.p
-    if chi.is_principal:
-        raise PrincipalCharacterError("moment sum needs a nonprincipal character")
-    if lam % p == 0:
-        raise LambdaDivisibleError("lam must be coprime to p")
-    if not 1 <= h < p:
-        raise ValueError(f"need 1 <= h < p, got h={h}, p={p}")
-    if r < 1:
-        raise ValueError("moment order r must be >= 1")
-    x = np.arange(k + 1, k + h + 1, dtype=np.int64)
-    w = _interval_weights(h, rho)
-    u = np.arange(1, p, dtype=np.int64)
-    inner = chi.table()[(np.outer(u, x) + lam) % p] @ w
-    return float((np.abs(inner) ** (2 * r)).sum())
+    """sum_{u=1}^{p-1} |sum_{x=k+1}^{k+h} rho(x) chi(u*x+lam)|^{2r}, for a
+    nonprincipal chi and gcd(lam, p) = 1."""
+    x = interval_residues(k, h, chi.ctx.p)
+    return dilated_moment(chi, x, lam, _interval_weights(h, rho), r)

@@ -15,6 +15,7 @@ from .characters import MultChar
 from .config import ExperimentConfig, load_config
 from .errors import BoxsumsError, ConfigInvalidError, NotPrimeError, TooLargeError
 from .harness import (
+    CALIBRATION_TRIALS,
     CalibrationStore,
     run_calibrate,
     run_prime_sweep,
@@ -147,21 +148,15 @@ def _config_from_args(args: argparse.Namespace, mode: str) -> ExperimentConfig:
     return cfg
 
 
-def _parse_weights(raw: str, n: int):
+def _parse_weights(raw: str):
     if raw == "unit":
         return UnitWeights()
     if raw.startswith("phase:"):
-        lams = _int_list(raw[len("phase:") :])
-        if len(lams) != n:
-            raise ConfigInvalidError(f"phase weights need {n} values")
-        return PhaseWeights(lams)
+        return PhaseWeights(_int_list(raw[len("phase:") :]))
     if raw.startswith("file:"):
         with open(raw[len("file:") :], encoding="utf-8") as fh:
             data = json.load(fh)
-        tables = [[complex(re, im) for re, im in coord] for coord in data]
-        if len(tables) != n:
-            raise ConfigInvalidError(f"weight file must hold {n} coordinate tables")
-        return TableWeights(tables)
+        return TableWeights([[complex(re, im) for re, im in coord] for coord in data])
     raise ConfigInvalidError(f"unknown weights {raw!r}")
 
 
@@ -211,7 +206,7 @@ def _cmd_prime_sweep(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args, "calibrate")
     if cfg.trials == 20 and not getattr(args, "trials", None):
-        cfg.trials = 50
+        cfg.trials = CALIBRATION_TRIALS
     store = CalibrationStore(args.calibration or "calibration.json")
     run_calibrate(cfg, store)
     print(f"calibration store written to {store.path}")
@@ -221,14 +216,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_sum(args: argparse.Namespace) -> int:
     e = _int_list(args.e)
     k = _int_list(args.k)
-    if len(e) != len(k):
-        raise ConfigInvalidError("--e and --k must have the same length")
     ctx = build_context(args.p)
     spec = SumSpec(
         ctx=ctx,
         box=Box(tuple(k), args.h),
         e=ExponentVector(tuple(e)),
-        weights=_parse_weights(args.weights, len(e)),
+        weights=_parse_weights(args.weights),
         lam=args.lam,
     )
     if args.char_index is not None:
@@ -299,7 +292,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigInvalidError, NotPrimeError, TooLargeError) as exc:
+    # The package raises ValueError for out-of-range arguments, such as h >= p.
+    except (ConfigInvalidError, NotPrimeError, TooLargeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except AssertionError as exc:

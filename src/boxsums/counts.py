@@ -3,6 +3,7 @@
 Counts pairs of tuples (x, y) with equal, nonzero shifted products
 (or shifted-power monomials) mod p, via a single-pass frequency table
 and sum of squares, plus a character-average identity cross-check.
+Intervals come from `modular.interval_powers`, which reduces k mod p.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ import numpy as np
 
 from . import bounds
 from .errors import RoundingUnstableError
-from .modular import ExponentVector, PrimeContext, build_context, is_prime, pow_mod
+from .modular import (
+    ExponentVector,
+    PrimeContext,
+    build_context,
+    interval_powers,
+    is_prime,
+    monomial_values,
+)
 
 
 @dataclass
@@ -26,47 +34,25 @@ class CountResult:
     method: str
 
 
-def _value_frequencies(
-    ctx: PrimeContext,
-    h: Sequence[int],
-    k: Sequence[int],
-    e: Sequence[int],
-) -> np.ndarray:
-    """Frequency table m(u) = #{x-tuples with prod (x_j+k_j)^{e_j} = u},
-    tuples with a zero factor excluded."""
-    p = ctx.p
-    vals = np.array([1], dtype=np.int64)
-    for h_j, k_j, e_j in zip(h, k, e):
-        x = np.arange(1, h_j + 1, dtype=np.int64)
-        r = (x + k_j) % p
-        r = r[r != 0]
-        pv = np.array([pow_mod(int(v), e_j, p) for v in r], dtype=np.int64)
-        vals = (vals[:, None] * pv[None, :] % p).ravel()
-    return np.bincount(vals, minlength=p)
+def _pair_count(powers: Sequence[np.ndarray], p: int) -> CountResult:
+    """Tuple pairs with equal power products: the exact sum of squared frequencies."""
+    m = np.bincount(monomial_values(powers, p), minlength=p)
+    return CountResult(value=int(sum(int(c) ** 2 for c in m)), method="brute")
 
 
 def count_product_pairs_brute(ctx: PrimeContext, nu: int, h: int, k: int) -> CountResult:
     """Pairs of nu-tuples from [1,h] with equal nonzero shifted products:
     prod (x_j+k) = prod (y_j+k) != 0 mod p. Exact, O(nu * h^nu)."""
-    if not 1 <= h < ctx.p:
-        raise ValueError(f"need 1 <= h < p, got h={h}, p={ctx.p}")
-    m = _value_frequencies(ctx, (h,) * nu, (k,) * nu, (1,) * nu)
-    return CountResult(value=int(sum(int(c) ** 2 for c in m)), method="brute")
+    return _pair_count([interval_powers(k, h, 1, ctx.p)[1]] * nu, ctx.p)
 
 
 def count_product_pairs_spectral(ctx: PrimeContext, nu: int, h: int, k: int) -> CountResult:
     """Same count via the character average
     (1/(p-1)) * sum_chi |sum_{x=1}^{h} chi(x+k)|^{2 nu}, rounded."""
     p = ctx.p
-    if not 1 <= h < p:
-        raise ValueError(f"need 1 <= h < p, got h={h}, p={p}")
     # Interval indicator in the index (discrete-log) domain; the per-character
     # sums are then one inverse DFT of length p-1.
-    cnt = np.zeros(p - 1, dtype=np.float64)
-    for x in range(1, h + 1):
-        r = (x + k) % p
-        if r != 0:
-            cnt[ctx.index[r]] += 1.0
+    cnt = np.bincount(ctx.index[interval_powers(k, h, 1, p)[1]], minlength=p - 1)
     per_char = (p - 1) * np.fft.ifft(cnt)
     raw = float((np.abs(per_char) ** (2 * nu)).sum() / (p - 1))
     rounded = round(raw)
@@ -83,14 +69,10 @@ def count_monomial_pairs_brute(
 ) -> CountResult:
     """Pairs of tuples over the rectangular box with equal nonzero values of
     prod (x_j+k_j)^{e_j} mod p. Exact, via frequency table."""
-    nu = len(e)
-    if len(h) != nu or len(k) != nu:
+    if len(h) != len(e) or len(k) != len(e):
         raise ValueError("h, k, e dimensions disagree")
-    for h_j in h:
-        if not 1 <= h_j < ctx.p:
-            raise ValueError("each side length must satisfy 1 <= h_j < p")
-    m = _value_frequencies(ctx, h, k, e.e)
-    return CountResult(value=int(sum(int(c) ** 2 for c in m)), method="brute")
+    powers = [interval_powers(k_j, h_j, e_j, ctx.p)[1] for h_j, k_j, e_j in zip(h, k, e.e)]
+    return _pair_count(powers, ctx.p)
 
 
 @dataclass

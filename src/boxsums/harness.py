@@ -390,7 +390,9 @@ def write_prime_sweep_json(report: PrimeSweepReport, path: str) -> None:
 # Families whose theorem ratios are calibrated, over all their bounds.DIMS.
 CALIBRATED_SELECTORS = (bounds.S_ALL, bounds.T_MOMENT, bounds.S_ALMOST)
 
-_CALIBRATION_PRIMES = (101, 1009)
+# The theorem-ratio calibration grid, shared with criterion 7's regression.
+CALIBRATION_PRIMES = (101, 1009)
+CALIBRATION_TRIALS = 50
 _MOMENT_PRIMES = (101, 257)
 
 
@@ -401,6 +403,23 @@ def _verify_config(config: ExperimentConfig) -> ExperimentConfig:
         seed=config.seed if config.seed is not None else 0,
         trials=5,
     )
+
+
+def theorem_ratio_sweep(selector: str, n: int, config: ExperimentConfig) -> list[RatioRecord]:
+    """Sweep records of one family and n over CALIBRATION_PRIMES at the threshold-spanning
+    side lengths, with the config's seed, trials, weights, exponent pool and r."""
+    sweep_cfg = ExperimentConfig(
+        mode="sweep",
+        primes=list(CALIBRATION_PRIMES),
+        n=[n],
+        bounds=[selector],
+        trials=config.trials,
+        seed=config.seed,
+        weights=config.weights,
+        exponent_pool=config.exponent_pool,
+        r=config.r,
+    )
+    return run_sweep(sweep_cfg).records
 
 
 def char_moment_shape_ratio(seed: int, r: int) -> float:
@@ -438,22 +457,11 @@ def run_calibrate(
     # Theorem-ratio maxima over the threshold-spanning grid.
     for selector in CALIBRATED_SELECTORS:
         for n in bounds.DIMS[selector]:
-            sweep_cfg = ExperimentConfig(
-                mode="sweep",
-                primes=list(_CALIBRATION_PRIMES),
-                n=[n],
-                bounds=[selector],
-                trials=config.trials,
-                seed=config.seed,
-                weights=config.weights,
-                exponent_pool=config.exponent_pool,
-                r=config.r,
-            )
-            result = run_sweep(sweep_cfg)
-            if not result.records:
+            records = theorem_ratio_sweep(selector, n, config)
+            if not records:
                 continue
-            max_ratio = max(r.ratio for r in result.records)
-            grid = f"p={_CALIBRATION_PRIMES}, threshold +-0.05, trials={config.trials}"
+            max_ratio = max(r.ratio for r in records)
+            grid = f"p={CALIBRATION_PRIMES}, threshold +-0.05, trials={config.trials}"
             store.update(f"{selector}/n={n}", max_ratio, grid, config.seed)
             emit(f"calibrated {selector}/n={n}: max ratio {max_ratio:.6f}")
 

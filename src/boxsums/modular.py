@@ -1,8 +1,9 @@
 """Exact residue arithmetic modulo a prime.
 
 Provides deterministic primality testing, smallest primitive roots,
-a full discrete-log (index) table per prime, and monomial evaluation
-with positive or negative exponents.
+a full discrete-log (index) table per prime, monomial evaluation with
+positive or negative exponents, and the interval kernels every sum and count
+is built from (points, powers, box products), which reduce corners mod p.
 """
 
 from __future__ import annotations
@@ -160,6 +161,29 @@ def build_context(p: int) -> PrimeContext:
         index[x] = k
         x = x * g % p
     return PrimeContext(p=p, g=g, index=index)
+
+
+def interval_residues(k: int, h: int, p: int) -> np.ndarray:
+    """The points of [k+1, k+h] reduced mod p, for any integer k; 1 <= h < p."""
+    if not 1 <= h < p:
+        raise ValueError(f"need 1 <= h < p, got h={h}, p={p}")
+    return (np.arange(1, h + 1, dtype=np.int64) + k % p) % p
+
+
+def interval_powers(k: int, h: int, e: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the points of [k+1, k+h] that are nonzero mod p, and x^e mod p
+    at those points, in interval order; 1 <= h < p."""
+    x = interval_residues(k, h, p)
+    keep = x != 0
+    return keep, np.array([pow_mod(int(v), e, p) for v in x[keep]], dtype=np.int64)
+
+
+def monomial_values(powers: Sequence[np.ndarray], p: int) -> np.ndarray:
+    """Products mod p of one entry per array over all tuples, the last array fastest."""
+    vals = np.array([1], dtype=np.int64)
+    for pv in powers:
+        vals = (vals[:, None] * pv[None, :] % p).ravel()
+    return vals
 
 
 def monomial_eval(ctx: PrimeContext, x: Sequence[int], e: ExponentVector) -> int:

@@ -19,9 +19,17 @@ from .characters import (
     ResidueDistribution,
     _root_table,
     additive_spectrum,
+    dilated_char_sums,
+    dilated_moment,
 )
-from .errors import DimensionTooSmallError, LambdaDivisibleError, PrincipalCharacterError
-from .modular import ExponentVector, PrimeContext, pow_mod
+from .errors import DimensionTooSmallError, LambdaDivisibleError
+from .modular import (
+    ExponentVector,
+    PrimeContext,
+    interval_powers,
+    interval_residues,
+    monomial_values,
+)
 
 
 def agreement_tolerance(terms: int) -> float:
@@ -66,7 +74,7 @@ class PhaseWeights:
 
     def coordinate_values(self, p: int, j: int, k_j: int, h: int) -> np.ndarray:
         # Both factors reduced first, so lambda_j * x stays below p^2 < 2^62.
-        x = np.arange(k_j + 1, k_j + h + 1, dtype=np.int64) % p
+        x = interval_residues(k_j, h, p)
         return _root_table(p)[(self.lambdas[j] % p * x) % p].copy()
 
     def dimension(self) -> int | None:
@@ -136,25 +144,24 @@ def _coordinate_data(spec: SumSpec, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Powered residues and weights over coordinate j, zeros mod p dropped."""
     p = spec.ctx.p
     k_j, h = spec.box.k[j], spec.box.h
-    x = np.arange(k_j + 1, k_j + h + 1, dtype=np.int64)
+    keep, pv = interval_powers(k_j, h, spec.e.e[j], p)
     w = np.asarray(spec.weights.coordinate_values(p, j, k_j, h), dtype=np.complex128)
-    keep = (x % p) != 0
-    x, w = x[keep], w[keep]
-    e_j = spec.e.e[j]
-    pv = np.array([pow_mod(int(v), e_j, p) for v in x], dtype=np.int64)
-    return pv, w
+    return pv, w[keep]
 
 
 def _flatten_slice(spec: SumSpec, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Monomial values and weight products over coordinates lo..hi-1."""
-    p = spec.ctx.p
-    vals = np.array([1], dtype=np.int64)
+    data = [_coordinate_data(spec, j) for j in range(lo, hi)]
     wts = np.array([1.0 + 0j], dtype=np.complex128)
-    for j in range(lo, hi):
-        pv, w = _coordinate_data(spec, j)
-        vals = (vals[:, None] * pv[None, :] % p).ravel()
+    for _, w in data:
         wts = (wts[:, None] * w[None, :]).ravel()
-    return vals, wts
+    return monomial_values([pv for pv, _ in data], spec.ctx.p), wts
+
+
+def _terms(spec: SumSpec) -> int:
+    """Tuples of the box with no coordinate 0 mod p (a side h < p holds <= 1 multiple)."""
+    p, h = spec.ctx.p, spec.box.h
+    return math.prod(h - ((k_j + h) // p - k_j // p) for k_j in spec.box.k)
 
 
 def monomial_value_distribution(spec: SumSpec, lo: int = 0, hi: int | None = None) -> ResidueDistribution:
@@ -191,18 +198,7 @@ def monomial_sum_bilinear(spec: SumSpec) -> SumResult:
     hat = additive_spectrum(d2).values
     u = np.flatnonzero(d1.values)
     value = complex(d1.values[u] @ hat[(spec.lam * u) % p])
-    terms = _slice_terms(spec, 0, s) * _slice_terms(spec, s, spec.n)
-    return SumResult(value=value, terms=terms, method="bilinear")
-
-
-def _slice_terms(spec: SumSpec, lo: int, hi: int) -> int:
-    p = spec.ctx.p
-    count = 1
-    for j in range(lo, hi):
-        k_j, h = spec.box.k[j], spec.box.h
-        x = np.arange(k_j + 1, k_j + h + 1, dtype=np.int64)
-        count *= int(((x % p) != 0).sum())
-    return count
+    return SumResult(value=value, terms=_terms(spec), method="bilinear")
 
 
 def kloosterman_sum(
@@ -236,14 +232,11 @@ def character_sum_split(spec: SumSpec, chi: MultChar) -> SumResult:
     built only for u in the support of d0."""
     if spec.n < 2:
         raise DimensionTooSmallError("split path needs n >= 2")
-    p = spec.ctx.p
     d0 = monomial_value_distribution(spec, 0, spec.n - 1)
     pv, w = _coordinate_data(spec, spec.n - 1)
     u = np.flatnonzero(d0.values)
-    inner = chi.table()[(np.outer(u, pv) + spec.lam) % p] @ w
-    value = complex(d0.values[u] @ inner)
-    terms = _slice_terms(spec, 0, spec.n - 1) * len(pv)
-    return SumResult(value=value, terms=terms, method="split")
+    value = complex(d0.values[u] @ dilated_char_sums(chi, u, pv, spec.lam, w))
+    return SumResult(value=value, terms=_terms(spec), method="split")
 
 
 def cauchy_majorant(spec: SumSpec) -> float:
@@ -267,22 +260,9 @@ def holder_majorant(spec: SumSpec, chi: MultChar, r: int) -> float:
     the last-coordinate sum rho_n(x) chi(u*x^{e_n}+lam) over u = 1..p-1."""
     if spec.n < 2:
         raise DimensionTooSmallError("majorant needs n >= 2")
-    if chi.is_principal:
-        raise PrincipalCharacterError("majorant needs a nonprincipal character")
-    if spec.lam == 0:
-        raise LambdaDivisibleError("lam must be coprime to p")
-    if r < 1:
-        raise ValueError("moment order r must be >= 1")
-    p = spec.ctx.p
-    d0 = monomial_value_distribution(spec, 0, spec.n - 1)
-    absd0 = np.abs(d0.values)
+    pv, w = _coordinate_data(spec, spec.n - 1)
+    moment = dilated_moment(chi, pv, spec.lam, w, r)
+    absd0 = np.abs(monomial_value_distribution(spec, 0, spec.n - 1).values)
     sq = float((absd0**2).sum())
     l1 = float(absd0.sum())
-    pv, w = _coordinate_data(spec, spec.n - 1)
-    u = np.arange(1, p, dtype=np.int64)
-    inner = chi.table()[(np.outer(u, pv) + spec.lam) % p] @ w
-    moment = float((np.abs(inner) ** (2 * r)).sum())
-    prod = sq * l1 ** (2 * r - 2) * moment
-    if prod == 0.0:
-        return 0.0
-    return prod ** (1.0 / (2 * r))
+    return (sq * l1 ** (2 * r - 2) * moment) ** (1.0 / (2 * r))

@@ -26,6 +26,11 @@ from .sums import Box, SumSpec, UnitWeights, agreement_tolerance
 # Grid primes when a run names none.
 DEFAULT_PRIMES = (5, 7, 11, 13, 31, 101)
 
+# Specs per majorant check, and the weight kinds the random-spec checks cycle.
+CAUCHY_TRIALS = 1000
+HOLDER_TRIALS = 500
+WEIGHT_KINDS = ("unit", "phase", "table")
+
 
 @lru_cache(maxsize=None)
 def _ctx(p: int):
@@ -42,9 +47,6 @@ class VerifyGrid:
     trials: int = 20
     seed: int = 0
     include_quarter_p: bool = False  # add h = p//4 to each prime's h list
-    cauchy_trials: int = 1000
-    holder_trials: int = 500
-    weight_kinds: tuple[str, ...] = ("unit", "phase", "table")
     exponent_pool: tuple[int, ...] = (-2, -1, 1, 2)
 
     def hs_for(self, p: int) -> list[int]:
@@ -357,7 +359,7 @@ def _check_agree_s(grid: VerifyGrid, store) -> CheckResult:
         ctx = _ctx(p)
         for trial in range(grid.trials):
             rng = substream(grid.seed, p, n, h, trial)
-            kind = grid.weight_kinds[trial % len(grid.weight_kinds)]
+            kind = WEIGHT_KINDS[trial % len(WEIGHT_KINDS)]
             spec = draw_spec(rng, ctx, n, h, list(grid.exponent_pool), kind)
             naive = sums.monomial_sum_naive(spec)
             fast = sums.monomial_sum_bilinear(spec)
@@ -381,7 +383,7 @@ def _check_agree_t(grid: VerifyGrid, store) -> CheckResult:
         ctx = _ctx(p)
         for trial in range(grid.trials):
             rng = substream(grid.seed, p, n, h, trial + 10_000)
-            kind = grid.weight_kinds[trial % len(grid.weight_kinds)]
+            kind = WEIGHT_KINDS[trial % len(WEIGHT_KINDS)]
             spec = draw_spec(rng, ctx, n, h, list(grid.exponent_pool), kind)
             chi = MultChar(ctx, int(rng.integers(0, p - 1)))
             naive = sums.character_sum_naive(spec, chi)
@@ -437,14 +439,14 @@ def _random_spec_stream(grid: VerifyGrid, tag: int, trials: int):
         ctx = _ctx(p)
         n = int(rng.integers(2, 5))
         h = int(rng.integers(1, min(p, 9)))
-        kind = grid.weight_kinds[trial % len(grid.weight_kinds)]
+        kind = WEIGHT_KINDS[trial % len(WEIGHT_KINDS)]
         yield trial, ctx, draw_spec(rng, ctx, n, h, list(grid.exponent_pool), kind), rng
 
 
 @check("cauchy-majorant")
 def _check_cauchy(grid: VerifyGrid, store) -> CheckResult:
     failures, count, worst = [], 0, 0.0
-    for trial, ctx, spec, rng in _random_spec_stream(grid, 40_000, grid.cauchy_trials):
+    for trial, ctx, spec, rng in _random_spec_stream(grid, 40_000, CAUCHY_TRIALS):
         naive = sums.monomial_sum_naive(spec)
         maj = sums.cauchy_majorant(spec)
         count += 1
@@ -459,7 +461,7 @@ def _check_cauchy(grid: VerifyGrid, store) -> CheckResult:
 @check("holder-majorant")
 def _check_holder(grid: VerifyGrid, store) -> CheckResult:
     failures, count, worst = [], 0, 0.0
-    for trial, ctx, spec, rng in _random_spec_stream(grid, 50_000, grid.holder_trials):
+    for trial, ctx, spec, rng in _random_spec_stream(grid, 50_000, HOLDER_TRIALS):
         chi = MultChar(ctx, int(rng.integers(1, ctx.p - 1)))
         naive = sums.character_sum_naive(spec, chi)
         tol = agreement_tolerance(naive.terms)

@@ -10,10 +10,12 @@ from boxsums import bounds, counts, sums
 from boxsums.config import ExperimentConfig
 from boxsums.harness import (
     CALIBRATED_SELECTORS,
+    CALIBRATION_PRIMES,
+    CALIBRATION_TRIALS,
     CalibrationStore,
     char_moment_shape_ratio,
     run_prime_sweep,
-    run_sweep,
+    theorem_ratio_sweep,
     threshold_h_values,
 )
 from boxsums.modular import build_context, is_prime
@@ -85,7 +87,7 @@ def test_criterion_2_method_agreement():
 
 
 def test_criterion_3_cauchy_step():
-    grid = VerifyGrid(seed=SEED, cauchy_trials=1000)
+    grid = VerifyGrid(seed=SEED)
     res = CHECKS["cauchy-majorant"](grid, None)
     _report(
         3,
@@ -97,7 +99,7 @@ def test_criterion_3_cauchy_step():
 
 
 def test_criterion_4_holder_step():
-    grid = VerifyGrid(seed=SEED, holder_trials=500)
+    grid = VerifyGrid(seed=SEED)
     res = CHECKS["holder-majorant"](grid, None)
     _report(
         4,
@@ -132,26 +134,15 @@ def test_criterion_6_char_moment_shape(store):
     _report(6, "character-moment shape regression", ok, detail)
 
 
-def _regression_sweep(selector: str, n: int) -> "list":
-    cfg = ExperimentConfig(
-        mode="sweep",
-        primes=[101, 1009],
-        n=[n],
-        bounds=[selector],
-        trials=50,
-        seed=SEED,
-    )
-    return run_sweep(cfg).records
-
-
 def test_criterion_7_theorem_ratio_regression(store):
     breaches = []
     details = []
+    cfg = ExperimentConfig(seed=SEED, trials=CALIBRATION_TRIALS)
     for selector in CALIBRATED_SELECTORS:
         for n in bounds.DIMS[selector]:
             entry = store.get(f"{selector}/n={n}")
             assert entry is not None, f"missing calibration for {selector}/n={n}"
-            records = _regression_sweep(selector, n)
+            records = theorem_ratio_sweep(selector, n, cfg)
             assert records, f"empty sweep for {selector}/n={n}"
             best = max(r.ratio for r in records)
             cap = 2 * entry["max_ratio"]
@@ -174,7 +165,7 @@ def test_criterion_8_nontriviality_with_calibrated_constants(store):
             entry = store.get(f"{selector}/n={n}")
             constant = entry["max_ratio"]
             alpha = bounds.nontrivial_threshold(selector, n)
-            for p in (101, 1009):
+            for p in CALIBRATION_PRIMES:
                 cutoff = p ** (alpha + 0.05)
                 # The sweep grid plus explicit points at and above the cutoff,
                 # so the check is never vacuous.

@@ -336,6 +336,9 @@ class TestCli:
     def test_config_error_exit_code(self, capsys):
         assert cli.main(["sum", "--p", "6", "--h", "2", "--e", "1", "--k", "0"]) == 2
         assert cli.main(["sum", "--p", "7", "--h", "2", "--e", "1", "--k", "0,0"]) == 2
+        assert cli.main(["count", "--p", "7", "--h", "9"]) == 2
+        assert cli.main(["sum", "--p", "101", "--h", "5", "--e=0,1", "--k", "0,0"]) == 2
+        assert capsys.readouterr().err.count("config error:") == 4
 
     def test_verify_exit_zero(self):
         rc = cli.main(["verify", "--prime", "5", "--prime", "7", "--trials", "2"])

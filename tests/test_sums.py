@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from boxsums.characters import MultChar
+from boxsums.characters import MultChar, char_interval_sum, char_moment
+from boxsums.counts import (
+    count_monomial_pairs_brute,
+    count_product_pairs_brute,
+    count_product_pairs_spectral,
+)
 from boxsums.errors import (
     DimensionTooSmallError,
     LambdaDivisibleError,
@@ -263,6 +268,11 @@ class TestSupportRestriction:
 
 
 @pytest.fixture(scope="module")
+def ctx1009():
+    return build_context(1009)
+
+
+@pytest.fixture(scope="module")
 def ctx_large():
     return build_context(1000003)
 
@@ -303,6 +313,55 @@ class TestLambdaReduction:
             == kloosterman_sum(ctx, box, 1, (5, 7)).value
         )
         assert abs(monomial_sum_naive(base).value - (-2.5531 - 3.1322j)) < 1e-3
+
+    # Multiples s of p added to integer arguments. Unreduced, u*x and the
+    # corners wrap int64 from about 2**62 on and overflow beyond 2**63.
+    SHIFTS = [2**53, 2**62 // 1009, 2**64, 2**200, -(2**70)]
+    SHIFT_IDS = ["2^53", "2^62/1009", "2^64", "2^200", "-2^70"]
+
+    @pytest.mark.parametrize("shift", SHIFTS, ids=SHIFT_IDS)
+    def test_corner_shift_by_multiple_of_p(self, ctx1009, shift):
+        ctx, s = ctx1009, ctx1009.p * shift
+        chi = MultChar(ctx, 5)
+        tables = [np.exp(0.3j * np.arange(20) * (j + 1)) * 0.9 for j in range(3)]
+        # The second side [1001, 1020] holds the multiple 1009 of p.
+        for weights in (UnitWeights(), PhaseWeights((5, 7, 11)), TableWeights(tables)):
+            base = _spec(ctx, (3, 1000, 40), 20, (2, -1, 3), weights, lam=7)
+            shifted = _spec(ctx, (3 + s, 1000 - s, 40 + s), 20, (2, -1, 3), weights, lam=7)
+            assert shifted.box.k == (3 + s, 1000 - s, 40 + s)
+            for evaluate in (monomial_sum_naive, monomial_sum_bilinear):
+                assert evaluate(shifted) == evaluate(base)
+            for evaluate in (character_sum_naive, character_sum_split):
+                assert evaluate(shifted, chi) == evaluate(base, chi)
+            assert cauchy_majorant(shifted) == cauchy_majorant(base)
+            assert holder_majorant(shifted, chi, 2) == holder_majorant(base, chi, 2)
+        assert monomial_sum_bilinear(base).terms == 20 * 19 * 20
+
+    @pytest.mark.parametrize("shift", SHIFTS, ids=SHIFT_IDS)
+    def test_char_sum_argument_shift_by_multiple_of_p(self, ctx1009, shift):
+        ctx, s = ctx1009, ctx1009.p * shift
+        chi = MultChar(ctx, 5)
+        rho = np.exp(0.7j * np.arange(7))
+        base = char_interval_sum(chi, 5, 7, 3, 2)
+        assert abs(base - (-0.1883 + 0.2226j)) < 1e-3
+        for k, u, lam in ((5 + s, 3, 2), (5, 3 + s, 2), (5, 3, 2 + s), (5 - s, 3 + s, 2 - s)):
+            assert char_interval_sum(chi, k, 7, u, lam) == base
+            assert char_interval_sum(chi, k, 7, u, lam, rho) == char_interval_sum(chi, 5, 7, 3, 2, rho)
+        moment = char_moment(chi, 5, 7, 2)
+        assert abs(moment - 6995.62) < 1e-2
+        assert char_moment(chi, 5 + s, 7, 2 + s) == moment
+        assert char_moment(chi, 5 - s, 7, 2, rho, r=2) == char_moment(chi, 5, 7, 2, rho, r=2)
+
+    @pytest.mark.parametrize("shift", SHIFTS, ids=SHIFT_IDS)
+    def test_count_shift_by_multiple_of_p(self, ctx1009, shift):
+        ctx, s = ctx1009, ctx1009.p * shift
+        for k in (3, 1000):
+            for count in (count_product_pairs_brute, count_product_pairs_spectral):
+                assert count(ctx, 2, 12, k + s) == count(ctx, 2, 12, k)
+        e = ExponentVector((2, -1))
+        assert count_monomial_pairs_brute(ctx, e, (12, 9), (3 + s, 1000 - s)) == (
+            count_monomial_pairs_brute(ctx, e, (12, 9), (3, 1000))
+        )
 
 
 class TestCauchyMajorant:
