@@ -12,7 +12,7 @@ import sys
 
 from . import bounds, counts, sums
 from .characters import MultChar
-from .config import ExperimentConfig, load_config
+from .config import KEYS, ExperimentConfig, apply_key, load_config
 from .errors import BoxsumsError, ConfigInvalidError, NotPrimeError, TooLargeError
 from .harness import (
     CALIBRATION_TRIALS,
@@ -44,46 +44,48 @@ def _int_list(raw: str) -> list[int]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--seed", type=int, help="64-bit seed for randomized modes")
+    parser.add_argument("--seed", help="64-bit seed for randomized modes")
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), help="output format")
-    parser.add_argument("--threads", type=int, help="worker threads")
+    parser.add_argument("--threads", help="worker threads")
     parser.add_argument("--calibration", help="path to the calibration store")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flags of the run modes (verify, sweep, prime-sweep, calibrate) take their
+    dest from config.KEYS and their values as text, parsed as the file's are."""
     parser = argparse.ArgumentParser(
         prog="boxsums",
         description="Exponential/character sums over short boxes mod p: "
         "evaluation, counting, and empirical bound verification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="mode", required=True)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     _add_common(p_verify)
-    p_verify.add_argument("--prime", action="append", type=int, help="grid prime (repeatable)")
-    p_verify.add_argument("--trials", type=int, help="seeded trials per cell")
+    p_verify.add_argument("--prime", action="append", help="grid prime (repeatable)")
+    p_verify.add_argument("--trials", help="seeded trials per cell")
 
     p_sweep = sub.add_parser("sweep", help="ratio sweep against a bound family")
     _add_common(p_sweep)
-    p_sweep.add_argument("--prime", action="append", type=int)
+    p_sweep.add_argument("--prime", action="append")
     p_sweep.add_argument("--bound", action="append", choices=bounds.SELECTORS)
-    p_sweep.add_argument("--n", action="append", type=int)
-    p_sweep.add_argument("--h", action="append", type=int)
-    p_sweep.add_argument("--trials", type=int)
+    p_sweep.add_argument("--n", action="append")
+    p_sweep.add_argument("--h", action="append")
+    p_sweep.add_argument("--trials")
     p_sweep.add_argument("--weights", choices=("unit", "phase", "table"))
-    p_sweep.add_argument("--r", type=int, help="moment order for moment bounds")
+    p_sweep.add_argument("--r", help="moment order for moment bounds")
 
     p_ps = sub.add_parser("prime-sweep", help="per-prime count ratios over a range")
     _add_common(p_ps)
-    p_ps.add_argument("--range", nargs=2, type=int, metavar=("LO", "HI"))
-    p_ps.add_argument("--nu", type=int)
-    p_ps.add_argument("--h", type=int)
-    p_ps.add_argument("--k", type=int)
+    p_ps.add_argument("--range", dest="prime_range", nargs=2, metavar=("LO", "HI"))
+    p_ps.add_argument("--nu")
+    p_ps.add_argument("--h")
+    p_ps.add_argument("--k")
 
     p_cal = sub.add_parser("calibrate", help="record max observed ratios")
     _add_common(p_cal)
-    p_cal.add_argument("--trials", type=int)
+    p_cal.add_argument("--trials")
 
     p_sum = sub.add_parser("sum", help="evaluate one sum instance")
     _add_common(p_sum)
@@ -107,44 +109,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace, mode: str) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    cfg.mode = mode
-    if getattr(args, "prime", None):
-        cfg.primes = list(args.prime)
-    if getattr(args, "bound", None):
-        cfg.bounds = list(args.bound)
-    if getattr(args, "n", None):
-        cfg.n = list(args.n)
-    if getattr(args, "h", None) and mode == "sweep":
-        cfg.h = list(args.h)
-    if getattr(args, "trials", None):
-        cfg.trials = args.trials
-    if getattr(args, "weights", None):
-        cfg.weights = args.weights
-    if getattr(args, "r", None):
-        cfg.r = args.r
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out:
-        cfg.out = args.out
-    if args.format:
-        cfg.format = args.format
-    if args.threads:
-        cfg.threads = args.threads
-    if mode == "verify" and not cfg.primes:
+def _mode_defaults(mode: str) -> ExperimentConfig:
+    """Each run mode's own defaults, set before the config file and the flags."""
+    cfg = ExperimentConfig(mode=mode)
+    if mode == "verify":
         cfg.primes = list(DEFAULT_PRIMES)
-    if mode in ("sweep", "calibrate") and not cfg.primes:
+    elif mode == "sweep":
         cfg.primes = [101, 1009]
-    if mode == "prime-sweep":
-        if getattr(args, "range", None):
-            cfg.prime_range = (args.range[0], args.range[1])
-        if getattr(args, "nu", None):
-            cfg.nu = args.nu
-        if getattr(args, "h", None):
-            cfg.h = [args.h]
-        if getattr(args, "k", None) is not None:
-            cfg.k = args.k
+    elif mode == "calibrate":
+        cfg.trials = CALIBRATION_TRIALS
+    return cfg
+
+
+def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The mode's defaults, then the config file, then each given flag, which
+    replaces the file's value; the subcommand is the mode key's flag."""
+    cfg = _mode_defaults(args.mode)
+    if args.config:
+        load_config(args.config, cfg)
+    for key in KEYS:
+        value = getattr(args, key, None)
+        if value is not None:
+            apply_key(cfg, key, " ".join(value) if isinstance(value, list) else value)
     return cfg
 
 
@@ -161,15 +147,14 @@ def _parse_weights(raw: str):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, "verify")
-    cfg.validate()
+    cfg = _config_from_args(args)
     store = CalibrationStore(args.calibration) if args.calibration else None
     report = run_verify(cfg, store=store)
     return EXIT_OK if report.passed else EXIT_PROPERTY_FAILURE
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, "sweep")
+    cfg = _config_from_args(args)
     result = run_sweep(cfg)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -188,7 +173,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_prime_sweep(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, "prime-sweep")
+    cfg = _config_from_args(args)
     store = CalibrationStore(args.calibration) if args.calibration else None
     report = run_prime_sweep(cfg, store=store)
     if cfg.out:
@@ -204,9 +189,7 @@ def _cmd_prime_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, "calibrate")
-    if cfg.trials == 20 and not getattr(args, "trials", None):
-        cfg.trials = CALIBRATION_TRIALS
+    cfg = _config_from_args(args)
     store = CalibrationStore(args.calibration or "calibration.json")
     run_calibrate(cfg, store)
     print(f"calibration store written to {store.path}")
@@ -291,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.mode](args)
     # The package raises ValueError for out-of-range arguments, such as h >= p.
     except (ConfigInvalidError, NotPrimeError, TooLargeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

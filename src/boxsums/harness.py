@@ -258,15 +258,8 @@ class SweepResult:
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Seeded ratio sweep of |sum| against the selected bound formulas."""
-    config.validate()
-    if config.seed is None:
-        raise ConfigInvalidError("sweep requires a seed")
+    config.validate("sweep")
     selectors = config.bounds or [bounds.S_ALL]
-    for sel in selectors:
-        if sel not in bounds.SELECTORS:
-            raise ConfigInvalidError(f"unknown bound selector {sel!r}")
-    if not config.primes:
-        raise ConfigInvalidError("no primes configured")
 
     warnings: list[str] = []
     cells: list[tuple[str, int, int, int]] = []
@@ -344,8 +337,7 @@ _CONSTANT_LADDER = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 def run_prime_sweep(config: ExperimentConfig, store: CalibrationStore | None = None) -> PrimeSweepReport:
     """Per-prime product-pair counts against the almost-all-primes majorant
     h^nu + h^{2nu-1/2} p^{-1/2}, with a violation-fraction ladder."""
-    if config.prime_range is None:
-        raise ConfigInvalidError("prime-sweep requires prime_range")
+    config.validate("prime-sweep")
     lo, hi = config.prime_range
     nu = config.nu
     h = config.h[0] if config.h else 6
@@ -400,7 +392,7 @@ def _verify_config(config: ExperimentConfig) -> ExperimentConfig:
     return ExperimentConfig(
         mode="verify",
         primes=config.primes or list(DEFAULT_PRIMES),
-        seed=config.seed if config.seed is not None else 0,
+        seed=config.seed,
         trials=5,
     )
 
@@ -448,8 +440,7 @@ def run_calibrate(
     Refuses to calibrate unless the verification suite is green.
     Idempotent for a fixed seed: re-running cannot lower stored maxima.
     """
-    if config.seed is None:
-        raise ConfigInvalidError("calibrate requires a seed")
+    config.validate("calibrate")
     report = run_verify(_verify_config(config), store=None, emit=lambda line: None)
     if not report.passed:
         raise VerifyNotGreenError("verification suite is not green")

@@ -46,14 +46,10 @@ class VerifyGrid:
     hs: tuple[int, ...] = (1, 2, 3, 8)
     trials: int = 20
     seed: int = 0
-    include_quarter_p: bool = False  # add h = p//4 to each prime's h list
     exponent_pool: tuple[int, ...] = (-2, -1, 1, 2)
 
     def hs_for(self, p: int) -> list[int]:
-        out = sorted({h for h in self.hs if 1 <= h < p})
-        if self.include_quarter_p and 1 <= p // 4 < p:
-            out = sorted(set(out) | {p // 4})
-        return out
+        return sorted({h for h in self.hs if 1 <= h < p})
 
 
 @dataclass
@@ -725,14 +721,12 @@ def _check_bound_middle(grid: VerifyGrid, store) -> CheckResult:
 
 def grid_from_config(config) -> VerifyGrid:
     grid = VerifyGrid()
-    if config.primes:
-        grid.primes = tuple(config.primes)
+    grid.primes = tuple(config.primes)
     if config.n:
         grid.ns = tuple(config.n)
     if config.h:
         grid.hs = tuple(config.h)
-    if config.trials:
-        grid.trials = config.trials
+    grid.trials = config.trials
     grid.seed = config.seed if config.seed is not None else 0
     if config.exponent_pool:
         grid.exponent_pool = tuple(config.exponent_pool)
@@ -741,8 +735,7 @@ def grid_from_config(config) -> VerifyGrid:
 
 def run_verify(config, store=None, emit=print) -> VerifyReport:
     """Run every registered invariant check over the configured grid."""
-    if not config.primes:
-        raise ConfigInvalidError("no primes configured")
+    config.validate("verify")
     registered = set(CHECKS)
     expected = set(EXPECTED_INVENTORY)
     if registered != expected:

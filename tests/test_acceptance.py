@@ -69,8 +69,7 @@ def test_criterion_2_method_agreement():
     grid = VerifyGrid(
         primes=(5, 7, 11, 13, 101),
         ns=(2, 3, 4),
-        hs=(1, 2, 3),
-        include_quarter_p=True,
+        hs=(1, 2, 3, 25),
         trials=20,
         seed=SEED,
     )

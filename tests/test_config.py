@@ -1,6 +1,7 @@
 import pytest
 
-from boxsums.config import ExperimentConfig, load_config, parse_config_text
+from boxsums import cli
+from boxsums.config import KEYS, ExperimentConfig, load_config, parse_config_text
 from boxsums.errors import ConfigInvalidError
 
 
@@ -26,14 +27,18 @@ class TestParse:
     def test_repeated_keys_extend(self):
         cfg = parse_config_text("prime = 5\nprime = 7 11\n")
         assert cfg.primes == [5, 7, 11]
+        # The first line replaces a non-empty default; later lines extend it.
+        cfg = parse_config_text("e = -1\ne = 2\n")
+        assert cfg.exponent_pool == [-1, 2]
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config_text("# comment\n\nseed = 3\n")
         assert cfg.seed == 3
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigInvalidError):
-            parse_config_text("primes = 5\n")
+        for text in ("primes = 5\n", "char_index = 5\n"):
+            with pytest.raises(ConfigInvalidError):
+                parse_config_text(text)
 
     def test_keys_case_sensitive(self):
         with pytest.raises(ConfigInvalidError):
@@ -106,3 +111,90 @@ class TestValidate:
             ExperimentConfig(mode="verify", primes=[5], trials=0).validate()
         with pytest.raises(ConfigInvalidError):
             ExperimentConfig(mode="verify", primes=[5], threads=0).validate()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"nu": 0}, {"r": 0}, {"h": [0, 5]}, {"bounds": ["s-most"]}],
+    )
+    def test_out_of_range_values_rejected(self, overrides):
+        with pytest.raises(ConfigInvalidError):
+            ExperimentConfig(mode="verify", primes=[101], **overrides).validate()
+
+    def test_validates_as_the_given_mode(self):
+        cfg = ExperimentConfig(mode="verify", primes=[101])
+        cfg.validate()
+        with pytest.raises(ConfigInvalidError, match="requires a seed"):
+            cfg.validate("sweep")
+
+    def test_calibrate_needs_no_primes(self):
+        ExperimentConfig(mode="calibrate", seed=0).validate()
+
+    def test_prime_sweep_takes_one_h(self):
+        cfg = ExperimentConfig(mode="prime-sweep", prime_range=(100, 150), h=[6, 8])
+        with pytest.raises(ConfigInvalidError):
+            cfg.validate()
+
+
+# Each key: (subcommand, file value, the matching flags or None, parsed field value).
+_KEY_CASES = {
+    "mode": ("sweep", "sweep", [], "sweep"),
+    "prime": ("sweep", "11 13", ["--prime", "11", "--prime", "13"], [11, 13]),
+    "prime_range": ("prime-sweep", "100 150", ["--range", "100", "150"], (100, 150)),
+    "n": ("sweep", "3 4", ["--n", "3", "--n", "4"], [3, 4]),
+    "h": ("sweep", "3 5", ["--h", "3", "--h", "5"], [3, 5]),
+    "e": ("sweep", "-1 1", None, [-1, 1]),
+    "weights": ("sweep", "phase", ["--weights", "phase"], "phase"),
+    "lambda_policy": ("sweep", "fixed", None, "fixed"),
+    "lambda": ("sweep", "3", None, 3),
+    "trials": ("calibrate", "7", ["--trials", "7"], 7),
+    "seed": ("sweep", "9", ["--seed", "9"], 9),
+    "bound": (
+        "sweep",
+        "s-all t-moment",
+        ["--bound", "s-all", "--bound", "t-moment"],
+        ["s-all", "t-moment"],
+    ),
+    "nu": ("prime-sweep", "3", ["--nu", "3"], 3),
+    "k": ("prime-sweep", "-4", ["--k=-4"], -4),
+    "r": ("sweep", "3", ["--r", "3"], 3),
+    "out": ("sweep", "ratios.csv", ["--out", "ratios.csv"], "ratios.csv"),
+    "format": ("sweep", "json", ["--format", "json"], "json"),
+    "threads": ("sweep", "2", ["--threads", "2"], 2),
+}
+
+
+def _cli_config(argv: list[str]) -> ExperimentConfig:
+    return cli._config_from_args(cli.build_parser().parse_args(argv))
+
+
+class TestKeyTable:
+    def test_every_key_has_a_case(self):
+        assert set(_KEY_CASES) == set(KEYS)
+
+    @pytest.mark.parametrize("key", sorted(_KEY_CASES))
+    def test_file_line_and_flag_agree(self, key, tmp_path):
+        mode, text, flags, expected = _KEY_CASES[key]
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"{key} = {text}\n", encoding="utf-8")
+        from_file = _cli_config([mode, "--config", str(path)])
+        assert getattr(from_file, KEYS[key][0]) == expected
+        if flags is not None:
+            assert _cli_config([mode] + flags) == from_file
+
+    def test_flag_replaces_file_value(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("prime = 5 7\ntrials = 3\n", encoding="utf-8")
+        cfg = _cli_config(["sweep", "--config", str(path), "--prime", "11"])
+        assert cfg.primes == [11]
+        assert cfg.trials == 3
+
+    def test_file_replaces_mode_default(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("prime = 5\nprime = 7\n", encoding="utf-8")
+        assert _cli_config(["sweep"]).primes == [101, 1009]
+        assert _cli_config(["sweep", "--config", str(path)]).primes == [5, 7]
+
+    def test_subcommand_sets_mode_over_file(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("mode = verify\n", encoding="utf-8")
+        assert _cli_config(["prime-sweep", "--config", str(path)]).mode == "prime-sweep"

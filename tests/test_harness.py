@@ -21,7 +21,7 @@ from boxsums.harness import (
 from boxsums.modular import build_context
 from boxsums.sampling import substream
 from boxsums.sums import SumResult
-from boxsums.verify import VerifyReport, run_verify
+from boxsums.verify import DEFAULT_PRIMES, VerifyReport, run_verify
 
 STORE_PATH = Path(__file__).resolve().parent.parent / "calibration" / "seed0.json"
 TIMING_COLUMNS = 2  # eval_ns, bound_ns sit last and are outside determinism
@@ -333,12 +333,21 @@ class TestCli:
         assert payload["value"] == 6
         assert payload["spectral_value"] == 6
 
-    def test_config_error_exit_code(self, capsys):
+    def test_config_error_exit_code(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert cli.main(["sum", "--p", "6", "--h", "2", "--e", "1", "--k", "0"]) == 2
         assert cli.main(["sum", "--p", "7", "--h", "2", "--e", "1", "--k", "0,0"]) == 2
         assert cli.main(["count", "--p", "7", "--h", "9"]) == 2
         assert cli.main(["sum", "--p", "101", "--h", "5", "--e=0,1", "--k", "0,0"]) == 2
-        assert capsys.readouterr().err.count("config error:") == 4
+        for argv in (
+            "sweep --prime 101 --bound s-all --n 4 --h 3 --seed 1 --trials 0",
+            "sweep --prime 101 --bound t-moment-almost --n 2 --h 30 --trials 1 --seed 1 --r 0",
+            "prime-sweep --range 100 150 --nu 0",
+            "prime-sweep --range 100 150 --h 0",
+        ):
+            assert cli.main(argv.split()) == 2, argv
+        assert capsys.readouterr().err.count("config error:") == 8
+        assert list(tmp_path.iterdir()) == []
 
     def test_verify_exit_zero(self):
         rc = cli.main(["verify", "--prime", "5", "--prime", "7", "--trials", "2"])
@@ -365,6 +374,33 @@ class TestCli:
             ["calibrate", "--seed", "0", "--calibration", str(tmp_path / "c.json")]
         )
         assert rc == 3
+
+    def test_calibrate_trials_from_config_file(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_calibrate", lambda cfg, store: seen.append(cfg))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cal.cfg").write_text("trials = 20\n", encoding="utf-8")
+        assert cli.main(["calibrate", "--seed", "0", "--config", "cal.cfg"]) == 0
+        assert cli.main(["calibrate", "--seed", "0"]) == 0
+        assert [cfg.trials for cfg in seen] == [20, harness.CALIBRATION_TRIALS]
+
+    def test_calibrate_gate_runs_default_verify_grid(self, tmp_path, monkeypatch):
+        class GateRan(Exception):
+            pass
+
+        gates = []
+
+        def gate(config, store=None, emit=print):
+            gates.append((config, run_verify(config, store=store, emit=emit)))
+            raise GateRan
+
+        monkeypatch.setattr(harness, "run_verify", gate)
+        with pytest.raises(GateRan):
+            cli.main(["calibrate", "--seed", "0", "--calibration", str(tmp_path / "c.json")])
+        config, report = gates[0]
+        assert tuple(config.primes) == DEFAULT_PRIMES
+        assert report.passed
+        assert [r.name for r in report.results if r.instances == 0] == []
 
     def test_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
