@@ -87,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_cal)
     p_cal.add_argument("--trials")
 
+    # sum and count read none of the common flags, so they take none.
     p_sum = sub.add_parser("sum", help="evaluate one sum instance")
-    _add_common(p_sum)
     p_sum.add_argument("--p", type=int, required=True)
     p_sum.add_argument("--h", type=int, required=True)
     p_sum.add_argument("--e", required=True, help="comma-separated exponents")
@@ -99,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--method", choices=("naive", "split"), default="naive")
 
     p_count = sub.add_parser("count", help="count product-congruence solutions")
-    _add_common(p_count)
     p_count.add_argument("--p", type=int, required=True)
     p_count.add_argument("--nu", type=int)
     p_count.add_argument("--h", required=True, help="side length(s), comma-separated")

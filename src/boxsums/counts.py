@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bounds
-from .errors import RoundingUnstableError
+from .errors import RoundingUnstableError, TooLargeError
 from .modular import (
     ExponentVector,
     PrimeContext,
@@ -36,8 +36,11 @@ class CountResult:
 
 def _pair_count(powers: Sequence[np.ndarray], p: int) -> CountResult:
     """Tuple pairs with equal power products: the exact sum of squared frequencies."""
+    # Sum c^2 <= (sum c)^2 = tuples^2 < 2^63 keeps the int64 sum of squares exact.
+    if (tuples := math.prod(len(pv) for pv in powers)) > math.isqrt(2**63 - 1):
+        raise TooLargeError(f"{tuples} tuples overflow the int64 pair count")
     m = np.bincount(monomial_values(powers, p), minlength=p)
-    return CountResult(value=int(sum(int(c) ** 2 for c in m)), method="brute")
+    return CountResult(value=int(m @ m), method="brute")
 
 
 def count_product_pairs_brute(ctx: PrimeContext, nu: int, h: int, k: int) -> CountResult:

@@ -4,6 +4,7 @@ Provides deterministic primality testing, smallest primitive roots,
 a full discrete-log (index) table per prime, monomial evaluation with
 positive or negative exponents, and the interval kernels every sum and count
 is built from (points, powers, box products), which reduce corners mod p.
+Per-element powers call the built-in `pow`, which inverts mod p for a negative exponent.
 """
 
 from __future__ import annotations
@@ -175,25 +176,26 @@ def interval_powers(k: int, h: int, e: int, p: int) -> tuple[np.ndarray, np.ndar
     at those points, in interval order; 1 <= h < p."""
     x = interval_residues(k, h, p)
     keep = x != 0
-    return keep, np.array([pow_mod(int(v), e, p) for v in x[keep]], dtype=np.int64)
+    return keep, np.array([pow(v, e, p) for v in x[keep].tolist()], dtype=np.int64)
 
 
 def monomial_values(powers: Sequence[np.ndarray], p: int) -> np.ndarray:
-    """Products mod p of one entry per array over all tuples, the last array fastest."""
-    vals = np.array([1], dtype=np.int64)
-    for pv in powers:
+    """Products mod p of one entry per array over all tuples, the last array
+    fastest; one factor is returned as given, and callers do not mutate it."""
+    vals = powers[0]
+    for pv in powers[1:]:
         vals = (vals[:, None] * pv[None, :] % p).ravel()
     return vals
 
 
 def monomial_eval(ctx: PrimeContext, x: Sequence[int], e: ExponentVector) -> int:
     """x_1^{e_1} ... x_n^{e_n} mod p, every coordinate nonzero mod p."""
-    if len(x) != len(e):
+    if len(x) != len(e.e):
         raise ValueError("coordinate/exponent dimension mismatch")
     p = ctx.p
     acc = 1
     for xj, ej in zip(x, e.e):
-        if xj % p == 0:
+        if (r := xj % p) == 0:
             raise ZeroCoordinateError(f"coordinate {xj} is 0 mod {p}")
-        acc = acc * pow_mod(xj, ej, p) % p
+        acc = acc * pow(r, ej, p) % p
     return acc

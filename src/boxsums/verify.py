@@ -3,11 +3,13 @@
 Each check runs over a configurable grid and reports its instance count
 and worst residual. The suite carries a fixed inventory of check names
 and refuses to run if the registry does not cover it exactly.
+`monomial-factor-agreement` checks both the monomial kernels and `monomial_eval`.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -18,7 +20,9 @@ import numpy as np
 from . import bounds, characters, counts, sums
 from .characters import MultChar, ResidueDistribution
 from .errors import ConfigInvalidError, OutOfRangeError
-from .modular import ExponentVector, build_context, inv_mod, monomial_eval, pow_mod
+from .modular import (
+    ExponentVector, build_context, interval_powers, inv_mod, monomial_eval, monomial_values, pow_mod
+)
 from .sampling import draw_coprime_lambda, draw_spec, substream
 from .sums import Box, SumSpec, UnitWeights, agreement_tolerance
 
@@ -182,20 +186,22 @@ def _slow_pow(x: int, e: int, p: int) -> int:
 
 @check("monomial-factor-agreement")
 def _check_monomial(grid: VerifyGrid, store) -> CheckResult:
-    import itertools
-
+    """Both the kernels every sum and count runs (`interval_powers`, `monomial_values`) and
+    `monomial_eval`, at each tuple of [1, p-1]^n, against products of tabulated `_slow_pow`."""
     failures, count = [], 0
     for p in [q for q in grid.primes if q <= 13]:
         ctx = _ctx(p)
+        oracle = {ej: [_slow_pow(x, ej, p) for x in range(1, p)] for ej in (-2, -1, 1, 2)}
         for n in (1, 2, 3):
-            for e in itertools.product((-2, -1, 1, 2), repeat=n):
+            for e in itertools.product(oracle, repeat=n):
                 ev = ExponentVector(e)
-                for x in itertools.product(range(1, p), repeat=n):
-                    count += 1
-                    want = 1
-                    for xj, ej in zip(x, e):
-                        want = want * _slow_pow(xj, ej, p) % p
-                    if monomial_eval(ctx, x, ev) != want:
+                kernel = monomial_values([interval_powers(0, p - 1, ej, p)[1] for ej in e], p).tolist()
+                want = [math.prod(f) % p for f in itertools.product(*(oracle[ej] for ej in e))]
+                if len(kernel) != len(want):
+                    failures.append(f"p={p}, e={e}: {len(kernel)} kernel values, want {len(want)}")
+                count += len(want)
+                for x, got, w in zip(itertools.product(range(1, p), repeat=n), kernel, want):
+                    if got != w or monomial_eval(ctx, x, ev) != w:
                         failures.append(f"p={p}, x={x}, e={e}")
     return CheckResult("monomial-factor-agreement", count, 0.0, failures)
 
@@ -548,8 +554,6 @@ def _check_count_diagonal(grid: VerifyGrid, store) -> CheckResult:
 
 @check("product-inequality-gcd")
 def _check_product_inequality(grid: VerifyGrid, store) -> CheckResult:
-    import itertools
-
     failures, count = [], 0
     plain_violations = []
     pool = [e for e in range(-3, 4) if e != 0]

@@ -1,14 +1,18 @@
 import itertools
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from boxsums import counts
 from boxsums.counts import (
     count_monomial_pairs_brute,
     count_product_pairs_brute,
     count_product_pairs_spectral,
     product_inequality_report,
 )
+from boxsums.errors import TooLargeError
 from boxsums.modular import ExponentVector, build_context
 
 PRIMES = [5, 7, 11, 13, 31]
@@ -66,6 +70,29 @@ class TestProductPairsBrute:
     def test_negative_corner_wraps(self, ctx7):
         got = count_product_pairs_brute(ctx7, 2, 3, -1).value
         assert got == _oracle_product_pairs(7, 2, 3, -1)
+
+    # (p, nu, h): the second h of each p and nu >= 2 has h^nu > p.
+    @pytest.mark.parametrize(
+        "p, nu, h",
+        [
+            (13, 1, 12), (13, 2, 4), (13, 2, 12), (13, 3, 3), (13, 3, 12),
+            (10007, 1, 500), (10007, 2, 6), (10007, 2, 101), (10007, 3, 6), (10007, 3, 22),
+            (100003, 1, 2000), (100003, 2, 6), (100003, 2, 317), (100003, 3, 6), (100003, 3, 47),
+        ],
+    )
+    def test_matches_python_int_frequency_oracle(self, p, nu, h):
+        ctx = build_context(p)
+        for k in (0, p - 3):
+            shifted = [(x + k) % p for x in range(1, h + 1)]
+            freq = Counter(
+                math.prod(t) % p for t in itertools.product(shifted, repeat=nu) if 0 not in t
+            )
+            assert count_product_pairs_brute(ctx, nu, h, k).value == sum(c * c for c in freq.values())
+
+    def test_tuple_count_guard_rejects_before_allocating(self):
+        # 1449^3 > isqrt(2^63 - 1) = 3037000499 tuples.
+        with pytest.raises(TooLargeError):
+            counts._pair_count([np.ones(1449, dtype=np.int64)] * 3, 7)
 
 
 class TestProductPairsSpectral:

@@ -283,6 +283,38 @@ class TestVerifySuite:
         bad = {r.name for r in report.results if not r.passed}
         assert "spectrum-method-agreement" in bad
 
+    def test_monomial_check_catches_kernel_fault(self, monkeypatch):
+        from boxsums import verify as verify_mod
+
+        real = verify_mod.monomial_values
+
+        def corrupted(powers, p):
+            vals = real(powers, p).copy()
+            if p == 11 and len(powers) == 2:
+                vals[17] = (vals[17] + 1) % p  # the tuple x = (2, 8)
+            return vals
+
+        monkeypatch.setattr(verify_mod, "monomial_values", corrupted)
+        result = verify_mod.CHECKS["monomial-factor-agreement"](verify_mod.VerifyGrid(primes=(5, 11)), None)
+        assert not result.passed
+        assert result.instances == 4 * 4 + 16 * 16 + 64 * 64 + 4 * 10 + 16 * 100 + 64 * 1000
+        assert len(result.failures) == 16
+        assert all(f.startswith("p=11, x=(2, 8), e=(") for f in result.failures)
+        assert "p=11, x=(2, 8), e=(-2, 1)" in result.failures
+
+    def test_monomial_check_catches_eval_fault(self, monkeypatch):
+        from boxsums import verify as verify_mod
+
+        real = verify_mod.monomial_eval
+
+        def corrupted(ctx, x, e):
+            got = real(ctx, x, e)
+            return (got + 1) % ctx.p if (x, e.e) == ((3, 5, 7), (1, -2, 2)) else got
+
+        monkeypatch.setattr(verify_mod, "monomial_eval", corrupted)
+        result = verify_mod.CHECKS["monomial-factor-agreement"](verify_mod.VerifyGrid(primes=(11,)), None)
+        assert result.failures == ["p=11, x=(3, 5, 7), e=(1, -2, 2)"]
+
     def test_empty_prime_list_rejected(self):
         cfg = ExperimentConfig(mode="verify", primes=[], trials=2, seed=0)
         with pytest.raises(ConfigInvalidError):
@@ -347,6 +379,18 @@ class TestCli:
         ):
             assert cli.main(argv.split()) == 2, argv
         assert capsys.readouterr().err.count("config error:") == 8
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sum_and_count_reject_common_flags(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in (
+            "sum --p 5 --h 2 --e 1,1 --k 0,0 --out x.json",
+            "count --p 7 --h 3 --config /nonexistent",
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv.split())
+            assert exc.value.code == 2, argv
+        assert capsys.readouterr().err.count("unrecognized arguments") == 2
         assert list(tmp_path.iterdir()) == []
 
     def test_verify_exit_zero(self):

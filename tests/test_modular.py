@@ -1,3 +1,7 @@
+import itertools
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +16,11 @@ from boxsums.errors import (
 from boxsums.modular import (
     ExponentVector,
     build_context,
+    interval_powers,
     inv_mod,
     is_prime,
     monomial_eval,
+    monomial_values,
     pow_mod,
     primitive_root,
 )
@@ -164,8 +170,6 @@ class TestMonomialEval:
 
     def test_against_independent_per_factor(self):
         # Oracle: repeated multiplication; inverse by exhaustive search.
-        import itertools
-
         def slow_pow(x, e, p):
             b = x % p
             if e < 0:
@@ -178,10 +182,41 @@ class TestMonomialEval:
 
         for p in (5, 7, 13):
             ctx = build_context(p)
+            # The oracle tabulated once per (p, e) over x in [1, p-1].
+            table = {e: [0] + [slow_pow(x, e, p) for x in range(1, p)] for e in (-2, -1, 1, 2)}
             for n in (1, 2, 3):
                 for e in itertools.product((-2, -1, 1, 2), repeat=n):
                     for x in itertools.product(range(1, p), repeat=n):
                         want = 1
                         for xj, ej in zip(x, e):
-                            want = want * slow_pow(xj, ej, p) % p
+                            want = want * table[ej][xj] % p
                         assert monomial_eval(ctx, x, ExponentVector(e)) == want
+
+
+class TestIntervalKernels:
+    @pytest.mark.parametrize("p", [5, 101, 10007])
+    @pytest.mark.parametrize("e_abs", [1, 2, "p-2", "p-1", "p", 2**31 - 1])
+    def test_powers_match_per_element_pow_mod(self, p, e_abs):
+        e_abs = {"p-2": p - 2, "p-1": p - 1, "p": p}.get(e_abs, e_abs)
+        for e in (e_abs, -e_abs):
+            for k in (0, -5, p - 3, p * 2**70 + 3):
+                for h in (1, 7, p - 1):
+                    if h >= p:
+                        continue
+                    x = [(k + i) % p for i in range(1, h + 1)]
+                    keep, got = interval_powers(k, h, e, p)
+                    assert np.array_equal(keep, np.array([v != 0 for v in x]))
+                    want = np.array([pow_mod(v, e, p) for v in x if v != 0], dtype=np.int64)
+                    assert np.array_equal(got, want), (p, e, k, h)
+
+    @pytest.mark.parametrize("p", [5, 13, 101])
+    def test_monomial_values_one_factor(self, p):
+        a = interval_powers(3, p - 2, -2, p)[1]
+        assert np.array_equal(monomial_values([a], p), a)
+
+    @pytest.mark.parametrize("p", [5, 13, 101])
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_monomial_values_repeated_factor(self, p, nu):
+        a = interval_powers(-7, min(p - 1, 12), 1, p)[1]
+        want = [math.prod(t) % p for t in itertools.product(a.tolist(), repeat=nu)]
+        assert monomial_values([a] * nu, p).tolist() == want
