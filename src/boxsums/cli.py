@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="count product-congruence solutions")
     p_count.add_argument("--p", type=int, required=True)
-    p_count.add_argument("--nu", type=int)
+    p_count.add_argument("--nu", type=int, default=1, help="tuple length of a plain product count")
     p_count.add_argument("--h", required=True, help="side length(s), comma-separated")
     p_count.add_argument("--k", default="0", help="corner(s), comma-separated")
     p_count.add_argument("--e", help="exponents; omitted for plain product counts")
@@ -244,12 +244,13 @@ def _cmd_count(args: argparse.Namespace) -> int:
         result = counts.count_monomial_pairs_brute(ctx, ExponentVector(tuple(es)), hs, ks)
         payload = {"p": args.p, "e": es, "h": hs, "k": ks, "value": result.value, "method": result.method}
     else:
-        nu = args.nu or len(hs)
-        brute = counts.count_product_pairs_brute(ctx, nu, hs[0], ks[0])
-        spectral = counts.count_product_pairs_spectral(ctx, nu, hs[0], ks[0])
+        if len(hs) != 1 or len(ks) != 1:
+            raise ConfigInvalidError("a product count takes one --h and one --k; add --e for a box")
+        brute = counts.count_product_pairs_brute(ctx, args.nu, hs[0], ks[0])
+        spectral = counts.count_product_pairs_spectral(ctx, args.nu, hs[0], ks[0])
         payload = {
             "p": args.p,
-            "nu": nu,
+            "nu": args.nu,
             "h": hs[0],
             "k": ks[0],
             "value": brute.value,

@@ -46,12 +46,16 @@ def _pair_count(powers: Sequence[np.ndarray], p: int) -> CountResult:
 def count_product_pairs_brute(ctx: PrimeContext, nu: int, h: int, k: int) -> CountResult:
     """Pairs of nu-tuples from [1,h] with equal nonzero shifted products:
     prod (x_j+k) = prod (y_j+k) != 0 mod p. Exact, O(nu * h^nu)."""
+    if nu < 1:
+        raise ValueError(f"tuple length nu must be >= 1, got {nu}")
     return _pair_count([interval_powers(k, h, 1, ctx.p)[1]] * nu, ctx.p)
 
 
 def count_product_pairs_spectral(ctx: PrimeContext, nu: int, h: int, k: int) -> CountResult:
     """Same count via the character average
     (1/(p-1)) * sum_chi |sum_{x=1}^{h} chi(x+k)|^{2 nu}, rounded."""
+    if nu < 1:
+        raise ValueError(f"tuple length nu must be >= 1, got {nu}")
     p = ctx.p
     # Interval indicator in the index (discrete-log) domain; the per-character
     # sums are then one inverse DFT of length p-1.

@@ -20,13 +20,11 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 def draw_corners(rng: np.random.Generator, p: int, n: int) -> tuple[int, ...]:
-    return tuple(int(v) for v in rng.integers(0, p, size=n))
+    return tuple(rng.integers(0, p, size=n).tolist())
 
 
-def draw_exponents(
-    rng: np.random.Generator, pool: list[int], n: int
-) -> ExponentVector:
-    return ExponentVector(tuple(int(rng.choice(pool)) for _ in range(n)))
+def draw_exponents(rng: np.random.Generator, pool: list[int], n: int) -> ExponentVector:
+    return ExponentVector(tuple(pool[int(rng.integers(0, len(pool)))] for _ in range(n)))
 
 
 def draw_coprime_lambda(rng: np.random.Generator, p: int) -> int:
@@ -39,7 +37,7 @@ def draw_weights(
     if kind == "unit":
         return UnitWeights()
     if kind == "phase":
-        return PhaseWeights(tuple(int(v) for v in rng.integers(0, p, size=n)))
+        return PhaseWeights(rng.integers(0, p, size=n).tolist())
     if kind == "table":
         tables = []
         for _ in range(n):

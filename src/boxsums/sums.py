@@ -4,12 +4,14 @@ Every sum excludes tuples with a coordinate congruent to 0 mod p.
 Each evaluator has a naive enumeration path plus a split path that
 factors the sum through a residue distribution; the split paths are
 cross-checked against the naive ones to within tau = 1e-9*(1+terms).
+A frozen `SumSpec` flattens its coordinates once, read-only, for every evaluator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -75,7 +77,7 @@ class PhaseWeights:
     def coordinate_values(self, p: int, j: int, k_j: int, h: int) -> np.ndarray:
         # Both factors reduced first, so lambda_j * x stays below p^2 < 2^62.
         x = interval_residues(k_j, h, p)
-        return _root_table(p)[(self.lambdas[j] % p * x) % p].copy()
+        return _root_table(p)[(self.lambdas[j] % p * x) % p]
 
     def dimension(self) -> int | None:
         return len(self.lambdas)
@@ -105,9 +107,10 @@ class TableWeights:
 WeightSystem = UnitWeights | PhaseWeights | TableWeights
 
 
-@dataclass
+@dataclass(frozen=True)
 class SumSpec:
-    """One sum instance: context, box, exponents, weights, and shift lam."""
+    """One sum instance: context, box, exponents, weights, and shift lam;
+    frozen, so `coordinates`, built once per spec, always match the fields."""
 
     ctx: PrimeContext
     box: Box
@@ -117,7 +120,7 @@ class SumSpec:
 
     def __post_init__(self) -> None:
         # Reduced once here, so lam * residue stays below p^2 < 2^62 in int64.
-        self.lam = int(self.lam) % self.ctx.p
+        object.__setattr__(self, "lam", int(self.lam) % self.ctx.p)
         if self.box.n != len(self.e):
             raise ValueError("box and exponent dimensions disagree")
         wdim = self.weights.dimension()
@@ -130,6 +133,19 @@ class SumSpec:
     def n(self) -> int:
         return self.box.n
 
+    @cached_property
+    def coordinates(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per coordinate j, x^{e_j} mod p and the weights at the points of
+        [k_j+1, k_j+h] that are nonzero mod p; both arrays are read-only."""
+        p, h = self.ctx.p, self.box.h
+        data = []
+        for j, (k_j, e_j) in enumerate(zip(self.box.k, self.e.e)):
+            keep, pv = interval_powers(k_j, h, e_j, p)
+            w = np.asarray(self.weights.coordinate_values(p, j, k_j, h), dtype=np.complex128)[keep]
+            pv.flags.writeable = w.flags.writeable = False
+            data.append((pv, w))
+        return tuple(data)
+
 
 @dataclass
 class SumResult:
@@ -140,18 +156,9 @@ class SumResult:
     method: str
 
 
-def _coordinate_data(spec: SumSpec, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Powered residues and weights over coordinate j, zeros mod p dropped."""
-    p = spec.ctx.p
-    k_j, h = spec.box.k[j], spec.box.h
-    keep, pv = interval_powers(k_j, h, spec.e.e[j], p)
-    w = np.asarray(spec.weights.coordinate_values(p, j, k_j, h), dtype=np.complex128)
-    return pv, w[keep]
-
-
 def _flatten_slice(spec: SumSpec, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Monomial values and weight products over coordinates lo..hi-1."""
-    data = [_coordinate_data(spec, j) for j in range(lo, hi)]
+    data = spec.coordinates[lo:hi]
     wts = np.array([1.0 + 0j], dtype=np.complex128)
     for _, w in data:
         wts = (wts[:, None] * w[None, :]).ravel()
@@ -233,7 +240,7 @@ def character_sum_split(spec: SumSpec, chi: MultChar) -> SumResult:
     if spec.n < 2:
         raise DimensionTooSmallError("split path needs n >= 2")
     d0 = monomial_value_distribution(spec, 0, spec.n - 1)
-    pv, w = _coordinate_data(spec, spec.n - 1)
+    pv, w = spec.coordinates[-1]
     u = np.flatnonzero(d0.values)
     value = complex(d0.values[u] @ dilated_char_sums(chi, u, pv, spec.lam, w))
     return SumResult(value=value, terms=_terms(spec), method="split")
@@ -260,7 +267,7 @@ def holder_majorant(spec: SumSpec, chi: MultChar, r: int) -> float:
     the last-coordinate sum rho_n(x) chi(u*x^{e_n}+lam) over u = 1..p-1."""
     if spec.n < 2:
         raise DimensionTooSmallError("majorant needs n >= 2")
-    pv, w = _coordinate_data(spec, spec.n - 1)
+    pv, w = spec.coordinates[-1]
     moment = dilated_moment(chi, pv, spec.lam, w, r)
     absd0 = np.abs(monomial_value_distribution(spec, 0, spec.n - 1).values)
     sq = float((absd0**2).sum())

@@ -437,7 +437,7 @@ def _random_spec_stream(grid: VerifyGrid, tag: int, trials: int):
     """Stream of random specs over the grid primes with n in 2..4, h < p."""
     for trial in range(trials):
         rng = substream(grid.seed, tag, trial)
-        p = int(rng.choice(list(grid.primes)))
+        p = grid.primes[int(rng.integers(0, len(grid.primes)))]
         ctx = _ctx(p)
         n = int(rng.integers(2, 5))
         h = int(rng.integers(1, min(p, 9)))

@@ -58,6 +58,12 @@ class TestProductPairsBrute:
         with pytest.raises(ValueError):
             count_product_pairs_brute(ctx5, 2, 5, 0)
 
+    @pytest.mark.parametrize("count", [count_product_pairs_brute, count_product_pairs_spectral])
+    @pytest.mark.parametrize("nu", [0, -1])
+    def test_nu_below_one_rejected(self, ctx7, count, nu):
+        with pytest.raises(ValueError, match="nu must be >= 1"):
+            count(ctx7, nu, 3, 0)
+
     @pytest.mark.parametrize("p", [5, 7, 11])
     @pytest.mark.parametrize("nu", [1, 2])
     def test_matches_double_loop_oracle(self, p, nu):

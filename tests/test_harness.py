@@ -365,6 +365,19 @@ class TestCli:
         assert payload["value"] == 6
         assert payload["spectral_value"] == 6
 
+    def test_count_reads_nu_as_given(self, capsys):
+        assert cli.main(["count", "--p", "7", "--h", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["nu"], payload["value"], payload["spectral_value"]) == (1, 3, 3)
+        for nu in ("0", "-1"):
+            assert cli.main(["count", "--p", "7", "--h", "3", "--nu", nu]) == 2, nu
+        assert capsys.readouterr().err.count("nu must be >= 1") == 2
+
+    def test_product_count_rejects_several_sides_or_corners(self, capsys):
+        for extra in (["--h", "3,4"], ["--h", "3", "--k", "0,1"]):
+            assert cli.main(["count", "--p", "7", "--nu", "2", *extra]) == 2, extra
+        assert capsys.readouterr().err.count("one --h and one --k") == 2
+
     def test_config_error_exit_code(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert cli.main(["sum", "--p", "6", "--h", "2", "--e", "1", "--k", "0"]) == 2

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from boxsums.errors import (
     LambdaDivisibleError,
     PrincipalCharacterError,
 )
-from boxsums.modular import ExponentVector, build_context, monomial_eval
+from boxsums.modular import ExponentVector, build_context, interval_powers, monomial_eval
 from boxsums.sampling import draw_spec, substream
 from boxsums.sums import (
     Box,
@@ -429,3 +430,65 @@ class TestConjugation:
             a = monomial_sum_naive(spec)
             b = monomial_sum_naive(mirrored)
             assert abs(b.value - a.value.conjugate()) < agreement_tolerance(a.terms)
+
+
+
+class TestCoordinateCache:
+    """Each spec flattens its coordinates once, and every evaluator reads them."""
+
+    P, K, H, E = 11, (5, 9, 20), 10, (2, -1, 1)  # each side holds one multiple of 11
+    ORDER = ("naive", "bilinear", "char-naive", "split", "cauchy", "holder")
+
+    def _tables(self):
+        return [0.9 * np.exp(1j * (j + 1) * np.arange(self.H)) for j in range(3)]
+
+    def _fresh(self, kind, tables=None):
+        weights = {
+            "unit": UnitWeights,
+            "phase": lambda: PhaseWeights((4, 7, 12)),
+            "table": lambda: TableWeights(self._tables() if tables is None else tables),
+        }[kind]()
+        return _spec(build_context(self.P), self.K, self.H, self.E, weights, lam=3)
+
+    @staticmethod
+    def _evaluate(spec, order):
+        chi = MultChar(spec.ctx, 4)
+        evaluators = {
+            "naive": lambda: monomial_sum_naive(spec).value,
+            "bilinear": lambda: monomial_sum_bilinear(spec).value,
+            "char-naive": lambda: character_sum_naive(spec, chi).value,
+            "split": lambda: character_sum_split(spec, chi).value,
+            "cauchy": lambda: cauchy_majorant(spec),
+            "holder": lambda: holder_majorant(spec, chi, 2),
+        }
+        return {name: evaluators[name]() for name in order}
+
+    @pytest.mark.parametrize("kind", ["unit", "phase", "table"])
+    def test_evaluators_bit_equal_in_either_order(self, kind):
+        forward = self._evaluate(self._fresh(kind), self.ORDER)
+        backward = self._evaluate(self._fresh(kind), self.ORDER[::-1])
+        assert forward == backward
+
+    @pytest.mark.parametrize("kind", ["unit", "phase", "table"])
+    def test_coordinates_built_once_and_read_only(self, kind):
+        spec = self._fresh(kind)
+        data = spec.coordinates
+        assert spec.coordinates is data and len(data) == 3
+        for (pv, w), k_j, e_j in zip(data, self.K, self.E):
+            keep, want = interval_powers(k_j, self.H, e_j, self.P)
+            assert not keep.all() and np.array_equal(pv, want) and w.shape == pv.shape
+            for arr in (pv, w):
+                with pytest.raises(ValueError):
+                    arr[0] = 1
+
+    def test_spec_fields_are_frozen(self):
+        spec = self._fresh("unit")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.lam = 2
+
+    def test_caller_tables_stay_writable_and_unchanged(self):
+        tables = self._tables()
+        before = [t.copy() for t in tables]
+        self._evaluate(self._fresh("table", tables), self.ORDER)
+        for t, t0 in zip(tables, before):
+            assert t.flags.writeable and np.array_equal(t, t0)
