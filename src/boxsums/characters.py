@@ -128,14 +128,18 @@ def additive_spectrum(dist: ResidueDistribution, method: str = "fast") -> Spectr
     return Spectrum(ctx=dist.ctx, values=values)
 
 
+def check_weight_bound(w: np.ndarray) -> None:
+    if not np.abs(w).max(initial=0.0) <= 1 + 1e-12:  # a NaN max fails the comparison
+        raise ValueError("weights must satisfy |rho(x)| <= 1")
+
+
 def _interval_weights(h: int, rho: Sequence[complex] | None) -> np.ndarray:
     if rho is None:
         return np.ones(h, dtype=np.complex128)
     w = np.asarray(rho, dtype=np.complex128)
     if w.shape != (h,):
         raise ValueError(f"weights must have length {h}")
-    if np.abs(w).max(initial=0.0) > 1 + 1e-12:
-        raise ValueError("weights must satisfy |rho(x)| <= 1")
+    check_weight_bound(w)
     return w
 
 

@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="count product-congruence solutions")
     p_count.add_argument("--p", type=int, required=True)
-    p_count.add_argument("--nu", type=int, default=1, help="tuple length of a plain product count")
+    p_count.add_argument("--nu", type=int, help="tuple length of a plain product count (default 1)")
     p_count.add_argument("--h", required=True, help="side length(s), comma-separated")
     p_count.add_argument("--k", default="0", help="corner(s), comma-separated")
     p_count.add_argument("--e", help="exponents; omitted for plain product counts")
@@ -236,6 +236,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
     hs = _int_list(args.h)
     ks = _int_list(args.k)
     if args.e is not None:
+        if args.nu is not None:
+            raise ConfigInvalidError("--nu is the tuple length of a plain count; --e sets the dimension")
         es = _int_list(args.e)
         if len(ks) == 1 and len(es) > 1:
             ks = ks * len(es)
@@ -246,11 +248,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
     else:
         if len(hs) != 1 or len(ks) != 1:
             raise ConfigInvalidError("a product count takes one --h and one --k; add --e for a box")
-        brute = counts.count_product_pairs_brute(ctx, args.nu, hs[0], ks[0])
-        spectral = counts.count_product_pairs_spectral(ctx, args.nu, hs[0], ks[0])
+        nu = 1 if args.nu is None else args.nu
+        brute = counts.count_product_pairs_brute(ctx, nu, hs[0], ks[0])
+        spectral = counts.count_product_pairs_spectral(ctx, nu, hs[0], ks[0])
         payload = {
             "p": args.p,
-            "nu": args.nu,
+            "nu": nu,
             "h": hs[0],
             "k": ks[0],
             "value": brute.value,

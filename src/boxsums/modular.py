@@ -4,7 +4,7 @@ Provides deterministic primality testing, smallest primitive roots,
 a full discrete-log (index) table per prime, monomial evaluation with
 positive or negative exponents, and the interval kernels every sum and count
 is built from (points, powers, box products), which reduce corners mod p.
-Per-element powers call the built-in `pow`, which inverts mod p for a negative exponent.
+Per-element powers call the built-in `pow` in one Python pass; it inverts mod p for a negative exponent.
 """
 
 from __future__ import annotations
@@ -173,10 +173,15 @@ def interval_residues(k: int, h: int, p: int) -> np.ndarray:
 
 def interval_powers(k: int, h: int, e: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Mask of the points of [k+1, k+h] that are nonzero mod p, and x^e mod p
-    at those points, in interval order; 1 <= h < p."""
-    x = interval_residues(k, h, p)
-    keep = x != 0
-    return keep, np.array([pow(v, e, p) for v in x[keep].tolist()], dtype=np.int64)
+    at those points, in interval order; 1 <= h < p. With k reduced mod p the points
+    are k+1..k+h < 2p, so p, at index p-1-k, is the only one that can be 0 mod p."""
+    if not 1 <= h < p:
+        raise ValueError(f"need 1 <= h < p, got h={h}, p={p}")
+    k %= p
+    keep = [True] * h
+    if k + h >= p:
+        keep[p - 1 - k] = False
+    return np.array(keep), np.array([pow(v, e, p) for v in range(k + 1, k + h + 1) if v != p], dtype=np.int64)
 
 
 def monomial_values(powers: Sequence[np.ndarray], p: int) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 Every trial gets its own substream derived from (seed, cell key, trial
 index), so cells are reproducible independently and in any order.
+Each draw is one generator call per kind: numpy takes bounded integers and doubles off
+the bit stream alike one at a time or as an array, so the streams equal per-coordinate draws.
 """
 
 from __future__ import annotations
@@ -15,8 +17,14 @@ _MASK = (1 << 64) - 1
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for one trial, derived from seed and cell key."""
-    return np.random.default_rng([seed & _MASK, *[k & _MASK for k in key]])
+    """Independent generator for one trial, derived from seed and cell key. SeedSequence
+    pools a list of ints as the little-endian 32-bit words of each (0 gives [0]); these words
+    as one uint32 array give the pool, and stream, of `default_rng([seed & _MASK, ...])`."""
+    words = []
+    for v in (seed, *key):
+        v &= _MASK
+        words += [v & 0xFFFFFFFF, v >> 32] if v >> 32 else [v]
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
 def draw_corners(rng: np.random.Generator, p: int, n: int) -> tuple[int, ...]:
@@ -24,7 +32,7 @@ def draw_corners(rng: np.random.Generator, p: int, n: int) -> tuple[int, ...]:
 
 
 def draw_exponents(rng: np.random.Generator, pool: list[int], n: int) -> ExponentVector:
-    return ExponentVector(tuple(pool[int(rng.integers(0, len(pool)))] for _ in range(n)))
+    return ExponentVector(tuple(pool[i] for i in rng.integers(0, len(pool), size=n).tolist()))
 
 
 def draw_coprime_lambda(rng: np.random.Generator, p: int) -> int:
@@ -39,12 +47,9 @@ def draw_weights(
     if kind == "phase":
         return PhaseWeights(rng.integers(0, p, size=n).tolist())
     if kind == "table":
-        tables = []
-        for _ in range(n):
-            mag = rng.uniform(0.0, 1.0, size=h)
-            arg = rng.uniform(0.0, 2 * np.pi, size=h)
-            tables.append(mag * np.exp(1j * arg))
-        return TableWeights(tables)
+        # Per coordinate, h uniform(0, 1) magnitudes then h uniform(0, 2*pi) phases.
+        u = rng.random((n, 2, h))
+        return TableWeights(u[:, 0] * np.exp(1j * (2 * np.pi * u[:, 1])))
     raise ValueError(f"unknown weight kind {kind!r}")
 
 

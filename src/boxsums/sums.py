@@ -21,6 +21,7 @@ from .characters import (
     ResidueDistribution,
     _root_table,
     additive_spectrum,
+    check_weight_bound,
     dilated_char_sums,
     dilated_moment,
 )
@@ -91,8 +92,7 @@ class TableWeights:
         for t in self.tables:
             if t.ndim != 1:
                 raise ValueError("each weight table must be one-dimensional")
-            if np.abs(t).max(initial=0.0) > 1 + 1e-12:
-                raise ValueError("weights must satisfy |rho(x)| <= 1")
+            check_weight_bound(t)
 
     def coordinate_values(self, p: int, j: int, k_j: int, h: int) -> np.ndarray:
         t = self.tables[j]
@@ -157,10 +157,10 @@ class SumResult:
 
 
 def _flatten_slice(spec: SumSpec, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monomial values and weight products over coordinates lo..hi-1."""
+    """Monomial values and weight products over coordinates lo..hi-1, starting from the first's arrays."""
     data = spec.coordinates[lo:hi]
-    wts = np.array([1.0 + 0j], dtype=np.complex128)
-    for _, w in data:
+    wts = data[0][1]
+    for _, w in data[1:]:
         wts = (wts[:, None] * w[None, :]).ravel()
     return monomial_values([pv for pv, _ in data], spec.ctx.p), wts
 

@@ -181,6 +181,14 @@ class TestCharIntervalSum:
         with pytest.raises(ValueError):
             char_interval_sum(chi, 0, 2, 1, 1, rho=[2.0, 0.0])
 
+    def test_nan_weights_rejected(self, ctx11):
+        chi = MultChar(ctx11, 2)
+        for rho in ([float("nan"), 1.0], [1.0, complex(0.0, float("nan"))]):
+            with pytest.raises(ValueError, match=r"\|rho\(x\)\| <= 1"):
+                char_interval_sum(chi, 0, 2, 1, 1, rho=rho)
+            with pytest.raises(ValueError, match=r"\|rho\(x\)\| <= 1"):
+                char_moment(chi, 0, 2, 3, rho)
+
 
 class TestCharMoment:
     def test_frozen_value(self):

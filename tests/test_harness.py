@@ -373,6 +373,21 @@ class TestCli:
             assert cli.main(["count", "--p", "7", "--h", "3", "--nu", nu]) == 2, nu
         assert capsys.readouterr().err.count("nu must be >= 1") == 2
 
+    def test_monomial_count_rejects_nu(self, capsys):
+        assert cli.main(["count", "--p", "7", "--h", "3", "--e", "1,1", "--nu", "5"]) == 2
+        assert "--nu" in capsys.readouterr().err
+        assert cli.main(["count", "--p", "7", "--h", "3", "--e", "1,1"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 19
+
+    def test_sum_rejects_nan_weight_file(self, capsys, tmp_path):
+        wfile = tmp_path / "w.json"
+        # json writes the float NaN as the bare token NaN, which json.load reads back.
+        wfile.write_text(json.dumps([[[1.0, 0.0], [float("nan"), 0.0]], [[0.5, 0.5], [0.0, 1.0]]]))
+        argv = ["sum", "--p", "101", "--h", "2", "--e", "1,1", "--k", "0,0", "--weights", f"file:{wfile}"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "|rho(x)| <= 1" in captured.err
+
     def test_product_count_rejects_several_sides_or_corners(self, capsys):
         for extra in (["--h", "3,4"], ["--h", "3", "--k", "0,1"]):
             assert cli.main(["count", "--p", "7", "--nu", "2", *extra]) == 2, extra

@@ -17,6 +17,7 @@ from boxsums.modular import (
     ExponentVector,
     build_context,
     interval_powers,
+    interval_residues,
     inv_mod,
     is_prime,
     monomial_eval,
@@ -208,6 +209,24 @@ class TestIntervalKernels:
                     assert np.array_equal(keep, np.array([v != 0 for v in x]))
                     want = np.array([pow_mod(v, e, p) for v in x if v != 0], dtype=np.int64)
                     assert np.array_equal(got, want), (p, e, k, h)
+
+    @pytest.mark.parametrize("p", [5, 13, 101])
+    @pytest.mark.parametrize("e", [1, -1, 3, -(2**31 - 1)])
+    def test_mask_at_each_position_of_the_multiple(self, p, e):
+        for h in (1, 2, p // 2, p - 1):
+            # Offsets r = k mod p putting the multiple of p at index 0 (k = -1),
+            # at index h-1 (k = -h), at an interior index, and outside.
+            for r in {p - 1, p - h, p - 1 - h // 2, 0, p - h - 1}:
+                for k in (r, r - p, p * 2**70 + r):
+                    keep, got = interval_powers(k, h, e, p)
+                    x = interval_residues(k, h, p)
+                    assert keep.dtype == bool and keep.shape == (h,)
+                    assert np.array_equal(keep, x != 0), (p, h, k)
+                    want = [pow_mod(int(v), e, p) for v in x if v != 0]
+                    assert got.dtype == np.int64 and got.tolist() == want, (p, e, h, k)
+            assert not interval_powers(-1, h, e, p)[0][0]
+            assert not interval_powers(-h, h, e, p)[0][h - 1]
+            assert interval_powers(0, h, e, p)[0].all()
 
     @pytest.mark.parametrize("p", [5, 13, 101])
     def test_monomial_values_one_factor(self, p):

@@ -1,10 +1,13 @@
 """Stream contract of the instance generator: a seed and cell key fix every draw."""
 
+import numpy as np
 import pytest
 
 from boxsums.modular import build_context
-from boxsums.sampling import draw_exponents, draw_spec, substream
+from boxsums.sampling import draw_exponents, draw_spec, draw_weights, substream
 from boxsums.sums import PhaseWeights, TableWeights, UnitWeights
+
+MASK = (1 << 64) - 1
 
 POOLS = (
     [3],
@@ -49,3 +52,29 @@ def test_draw_spec_golden(kind):
         assert complex(spec.weights.tables[0][0]) == weight0
     assert rng.random() == after
     assert all(type(v) is int for v in (*spec.e.e, *spec.box.k, spec.lam))
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("key", [0, 2**32 - 1, 2**32, 2**63, -1, -(2**70)])
+def test_substream_is_default_rng_of_masked_key(seed, key):
+    for keys in ((key,), (3, key, 1)):
+        ours = substream(seed, *keys)
+        ref = np.random.default_rng([seed & MASK, *(k & MASK for k in keys)])
+        assert ours.bit_generator.state == ref.bit_generator.state, keys
+        assert ours.random(3).tolist() == ref.random(3).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("h", [1, 8])
+def test_table_weights_are_per_coordinate_uniform_draws(n, h):
+    ours, ref = substream(3, n, h), substream(3, n, h)
+    got = draw_weights(ours, "table", 101, n, h).tables
+    want = []
+    for _ in range(n):
+        mag = ref.uniform(0.0, 1.0, size=h)
+        arg = ref.uniform(0.0, 2 * np.pi, size=h)
+        want.append(mag * np.exp(1j * arg))
+    assert len(got) == n
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    assert ours.random() == ref.random()

@@ -73,6 +73,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             TableWeights([[1.5, 0.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(math.nan, 0.0), complex(0.0, math.nan), math.inf])
+    def test_table_weight_nan_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\|rho\(x\)\| <= 1"):
+            TableWeights([[0.5, 1.0], [bad, 0.25]])
+
 
 class TestValueDistribution:
     def test_identity_monomial(self, ctx7):
