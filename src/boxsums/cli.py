@@ -47,7 +47,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", help="64-bit seed for randomized modes")
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), help="output format")
-    parser.add_argument("--threads", help="worker threads")
     parser.add_argument("--calibration", help="path to the calibration store")
 
 
@@ -139,9 +138,12 @@ def _parse_weights(raw: str):
     if raw.startswith("phase:"):
         return PhaseWeights(_int_list(raw[len("phase:") :]))
     if raw.startswith("file:"):
-        with open(raw[len("file:") :], encoding="utf-8") as fh:
-            data = json.load(fh)
-        return TableWeights([[complex(re, im) for re, im in coord] for coord in data])
+        try:
+            with open(raw[len("file:") :], encoding="utf-8") as fh:
+                data = json.load(fh)
+            return TableWeights([[complex(re, im) for re, im in coord] for coord in data])
+        except (OSError, TypeError) as exc:
+            raise ConfigInvalidError(f"weights file: {exc}") from exc
     raise ConfigInvalidError(f"unknown weights {raw!r}")
 
 

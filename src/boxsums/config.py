@@ -38,9 +38,10 @@ class ExperimentConfig:
     nu: int = 2
     k: int = 0
     r: int = 2
-    char_index: int | None = None  # not a key and unread; kept so config digests hold
     out: str | None = None
     format: str = "csv"
+    # Not keys and unread; kept because the benchmark's config digests hash every field.
+    char_index: int | None = None
     threads: int = 1
 
     def validate(self, mode: str | None = None) -> None:
@@ -54,7 +55,7 @@ class ExperimentConfig:
             raise ConfigInvalidError(f"unknown lambda policy {self.lambda_policy!r}")
         if self.format not in ("csv", "json"):
             raise ConfigInvalidError(f"unknown output format {self.format!r}")
-        for name in ("trials", "threads", "nu", "r"):
+        for name in ("trials", "nu", "r"):
             if getattr(self, name) < 1:
                 raise ConfigInvalidError(f"{name} must be >= 1")
         if any(h < 1 for h in self.h):
@@ -68,6 +69,9 @@ class ExperimentConfig:
             raise ConfigInvalidError(f"{mode} requires a seed")
         if mode in ("sweep", "verify") and not self.primes:
             raise ConfigInvalidError("no primes configured")
+        if mode == "sweep" and self.lambda_policy == "fixed":
+            if any(self.lambda_value % p == 0 for p in self.primes):
+                raise ConfigInvalidError("fixed lambda must be coprime to every configured prime")
         if mode == "prime-sweep" and self.prime_range is None:
             raise ConfigInvalidError("prime-sweep requires prime_range")
         if mode == "prime-sweep" and len(self.h) > 1:
@@ -107,7 +111,6 @@ KEYS = {
     "r": ("r", int),
     "out": ("out", str),
     "format": ("format", str),
-    "threads": ("threads", int),
 }
 
 

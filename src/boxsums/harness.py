@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 from . import bounds, characters, counts, sums
 from .characters import MultChar
@@ -59,63 +58,37 @@ class RatioRecord:
     bound_ns: int = 0
 
 
-CSV_FIELDS = (
-    "selector",
-    "p",
-    "n",
-    "h",
-    "e",
-    "k",
-    "lambda",
-    "char_index",
-    "abs_sum",
-    "bound",
-    "ratio",
-    "branch",
-    "trial",
-    "eval_ns",
-    "bound_ns",
-)
+# The sweep's columns, in RatioRecord's field order; lam is written as lambda.
+CSV_FIELDS = tuple("lambda" if f.name == "lam" else f.name for f in fields(RatioRecord))
 
 
-def record_to_row(rec: RatioRecord) -> list[str]:
-    return [
-        rec.selector,
-        str(rec.p),
-        str(rec.n),
-        str(rec.h),
-        ";".join(map(str, rec.e)),
-        ";".join(map(str, rec.k)),
-        str(rec.lam),
-        str(rec.char_index),
-        _fmt(rec.abs_sum),
-        _fmt(rec.bound),
-        _fmt(rec.ratio),
-        rec.branch,
-        str(rec.trial),
-        str(rec.eval_ns),
-        str(rec.bound_ns),
-    ]
+def _cell(value) -> str:
+    if isinstance(value, tuple):
+        return ";".join(map(str, value))
+    if isinstance(value, float):
+        return _fmt(value)
+    return str(value)
 
 
-def write_records_csv(records: list[RatioRecord], path: str) -> None:
+def _write_csv(header, rows, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_FIELDS) + "\n")
-        for rec in records:
-            fh.write(",".join(record_to_row(rec)) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, astuple(row))) + "\n")
 
 
-def write_records_json(records: list[RatioRecord], path: str) -> None:
-    payload = []
-    for rec in records:
-        d = asdict(rec)
-        d["lambda"] = d.pop("lam")
-        d["e"] = list(rec.e)
-        d["k"] = list(rec.k)
-        payload.append(d)
+def _write_json(payload, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def write_records_csv(records: list[RatioRecord], path: str) -> None:
+    _write_csv(CSV_FIELDS, records, path)
+
+
+def write_records_json(records: list[RatioRecord], path: str) -> None:
+    _write_json([dict(zip(CSV_FIELDS, astuple(rec))) for rec in records], path)
 
 
 class CalibrationStore:
@@ -153,9 +126,7 @@ class CalibrationStore:
         path = path or self.path
         if path is None:
             raise ValueError("no path for calibration store")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.entries, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(self.entries, path)
 
 
 def threshold_h_values(selector: str, n: int, p: int, width: float = 0.05) -> list[int]:
@@ -181,13 +152,8 @@ def _run_trial(
 ) -> RatioRecord | None:
     p = ctx.p
     rng = substream(config.seed, p, n, h, trial)
-    lam = (
-        config.lambda_value % p
-        if config.lambda_policy == "fixed"
-        else draw_coprime_lambda(rng, p)
-    )
-    if lam % p == 0:
-        raise ConfigInvalidError("fixed lambda must be coprime to p")
+    fixed = config.lambda_policy == "fixed"
+    lam = config.lambda_value % p if fixed else draw_coprime_lambda(rng, p)
     spec = draw_spec(
         rng,
         ctx,
@@ -281,39 +247,18 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                     cells.append((selector, n, p, h))
 
     contexts = {p: build_context(p) for p in sorted({c[2] for c in cells})}
-
-    def run_cell(cell: tuple[str, int, int, int]) -> list[RatioRecord]:
-        selector, n, p, h = cell
-        out = []
+    records: list[RatioRecord] = []
+    summaries: list[CellSummary] = []
+    for selector, n, p, h in cells:
+        ratios = []
         for trial in range(config.trials):
             rec = _run_trial(selector, contexts[p], n, h, trial, config)
             if rec is not None:
-                out.append(rec)
-        return out
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            per_cell = list(pool.map(run_cell, cells))
-    else:
-        per_cell = [run_cell(c) for c in cells]
-
-    records: list[RatioRecord] = []
-    summaries: list[CellSummary] = []
-    for cell, recs in zip(cells, per_cell):
-        records.extend(recs)
-        if recs:
-            ratios = [r.ratio for r in recs]
-            summaries.append(
-                CellSummary(
-                    selector=cell[0],
-                    p=cell[2],
-                    n=cell[1],
-                    h=cell[3],
-                    max_ratio=max(ratios),
-                    mean_ratio=sum(ratios) / len(ratios),
-                    trials=len(ratios),
-                )
-            )
+                records.append(rec)
+                ratios.append(rec.ratio)
+        if ratios:
+            mean = sum(ratios) / len(ratios)
+            summaries.append(CellSummary(selector, p, n, h, max(ratios), mean, len(ratios)))
     records.sort(key=lambda r: (r.selector, r.n, r.p, r.h, r.trial))
     return SweepResult(records=records, summaries=summaries, warnings=warnings)
 
@@ -358,10 +303,7 @@ def run_prime_sweep(config: ExperimentConfig, store: CalibrationStore | None = N
 
 
 def write_prime_sweep_csv(report: PrimeSweepReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("p,count,majorant,ratio\n")
-        for row in report.rows:
-            fh.write(f"{row.p},{row.count},{_fmt(row.majorant)},{_fmt(row.ratio)}\n")
+    _write_csv([f.name for f in fields(counts.PrimeSweepRow)], report.rows, path)
 
 
 def write_prime_sweep_json(report: PrimeSweepReport, path: str) -> None:
@@ -372,9 +314,7 @@ def write_prime_sweep_json(report: PrimeSweepReport, path: str) -> None:
         "rows": [asdict(r) for r in report.rows],
         "violation_fractions": report.violation_fractions,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(payload, path)
 
 
 # ------------------------------------------------------------------ calibrate

@@ -36,7 +36,7 @@ class TestParse:
         assert cfg.seed == 3
 
     def test_unknown_key_rejected(self):
-        for text in ("primes = 5\n", "char_index = 5\n"):
+        for text in ("primes = 5\n", "char_index = 5\n", "threads = 2\n"):
             with pytest.raises(ConfigInvalidError):
                 parse_config_text(text)
 
@@ -106,11 +106,22 @@ class TestValidate:
         with pytest.raises(ConfigInvalidError):
             cfg.validate()
 
-    def test_bad_threads_and_trials(self):
+    def test_bad_trials(self):
         with pytest.raises(ConfigInvalidError):
             ExperimentConfig(mode="verify", primes=[5], trials=0).validate()
-        with pytest.raises(ConfigInvalidError):
-            ExperimentConfig(mode="verify", primes=[5], threads=0).validate()
+
+    def test_fixed_lambda_must_be_coprime_to_every_prime(self):
+        # Every p = 5 cell is skipped at run time (h >= p), yet the config is rejected.
+        cfg = ExperimentConfig(mode="sweep", primes=[5, 101], h=[7], seed=0, lambda_policy="fixed", lambda_value=5)
+        with pytest.raises(ConfigInvalidError, match="fixed lambda"):
+            cfg.validate()
+        cfg.lambda_value = -10
+        with pytest.raises(ConfigInvalidError, match="fixed lambda"):
+            cfg.validate()
+        cfg.lambda_value = 6
+        cfg.validate()
+        cfg.lambda_policy, cfg.lambda_value = "random-coprime", 5
+        cfg.validate()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -159,7 +170,6 @@ _KEY_CASES = {
     "r": ("sweep", "3", ["--r", "3"], 3),
     "out": ("sweep", "ratios.csv", ["--out", "ratios.csv"], "ratios.csv"),
     "format": ("sweep", "json", ["--format", "json"], "json"),
-    "threads": ("sweep", "2", ["--threads", "2"], 2),
 }
 
 

@@ -7,14 +7,19 @@ import pytest
 from boxsums import cli, harness, sums
 from boxsums.characters import ResidueDistribution, additive_spectrum
 from boxsums.config import ExperimentConfig
+from boxsums.counts import PrimeSweepRow
 from boxsums.errors import ConfigInvalidError, VerifyNotGreenError
 from boxsums.harness import (
     CSV_FIELDS,
     CalibrationStore,
+    PrimeSweepReport,
+    RatioRecord,
     run_calibrate,
     run_prime_sweep,
     run_sweep,
     threshold_h_values,
+    write_prime_sweep_csv,
+    write_prime_sweep_json,
     write_records_csv,
     write_records_json,
 )
@@ -67,19 +72,6 @@ class TestSweep:
             write_records_csv(result.records, str(path))
         a, b = (p.read_text(encoding="utf-8") for p in paths)
         assert _strip_timings(a) == _strip_timings(b)
-
-    def test_threads_do_not_change_records(self, tmp_path):
-        serial = run_sweep(_sweep_config(threads=1))
-        parallel = run_sweep(_sweep_config(threads=4))
-        for a, b in zip(serial.records, parallel.records):
-            assert (a.selector, a.p, a.n, a.h, a.trial) == (
-                b.selector,
-                b.p,
-                b.n,
-                b.h,
-                b.trial,
-            )
-            assert a.ratio == b.ratio
 
     def test_csv_schema(self, tmp_path):
         result = run_sweep(_sweep_config())
@@ -143,6 +135,86 @@ class TestSweep:
         monkeypatch.setattr(sums, "monomial_sum_bilinear", corrupted)
         with pytest.raises(AssertionError):
             run_sweep(_sweep_config())
+
+
+class TestWriters:
+    """Golden bytes of each writer for one hand-built row: negative exponents
+    and corners, char_index -1, and floats that need all 17 digits."""
+
+    RECORD = RatioRecord(
+        selector="t-moment",
+        p=1009,
+        n=3,
+        h=17,
+        e=(-2, 1, -1),
+        k=(1008, 0, 7),
+        lam=-7,
+        char_index=-1,
+        abs_sum=0.1 + 0.2,
+        bound=1 / 3,
+        ratio=(0.1 + 0.2) / (1 / 3),
+        branch="main",
+        trial=4,
+        eval_ns=123456,
+        bound_ns=789,
+    )
+    REPORT = PrimeSweepReport(
+        nu=2,
+        h=6,
+        k=-1,
+        rows=[PrimeSweepRow(p=1013, count=41, majorant=200 / 3, ratio=41 / (200 / 3))],
+        violation_fractions={"0.25": 0.1 + 0.2},
+    )
+
+    def test_records_csv(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_records_csv([self.RECORD], str(path))
+        assert path.read_text(encoding="utf-8") == (
+            "selector,p,n,h,e,k,lambda,char_index,abs_sum,bound,ratio,branch,trial,eval_ns,bound_ns\n"
+            "t-moment,1009,3,17,-2;1;-1,1008;0;7,-7,-1,"
+            "0.30000000000000004,0.33333333333333331,0.90000000000000013,main,4,123456,789\n"
+        )
+
+    def test_records_json(self, tmp_path):
+        path = tmp_path / "r.json"
+        write_records_json([self.RECORD], str(path))
+        text = path.read_text(encoding="utf-8")
+        assert json.loads(text) == [
+            {
+                "abs_sum": 0.30000000000000004,
+                "bound": 0.3333333333333333,
+                "bound_ns": 789,
+                "branch": "main",
+                "char_index": -1,
+                "e": [-2, 1, -1],
+                "eval_ns": 123456,
+                "h": 17,
+                "k": [1008, 0, 7],
+                "lambda": -7,
+                "n": 3,
+                "p": 1009,
+                "ratio": 0.9000000000000001,
+                "selector": "t-moment",
+                "trial": 4,
+            }
+        ]
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+
+    def test_prime_sweep_csv(self, tmp_path):
+        path = tmp_path / "p.csv"
+        write_prime_sweep_csv(self.REPORT, str(path))
+        assert path.read_text(encoding="utf-8") == (
+            "p,count,majorant,ratio\n1013,41,66.666666666666671,0.61499999999999999\n"
+        )
+
+    def test_prime_sweep_json(self, tmp_path):
+        path = tmp_path / "p.json"
+        write_prime_sweep_json(self.REPORT, str(path))
+        assert path.read_text(encoding="utf-8") == (
+            '{\n "h": 6,\n "k": -1,\n "nu": 2,\n "rows": [\n  {\n   "count": 41,\n'
+            '   "majorant": 66.66666666666667,\n   "p": 1013,\n   "ratio": 0.615\n  }\n ],\n'
+            ' "violation_fractions": {\n  "0.25": 0.30000000000000004\n }\n}\n'
+        )
 
 
 class TestThresholdHValues:
@@ -388,6 +460,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and "|rho(x)| <= 1" in captured.err
 
+    @pytest.mark.parametrize("contents", ["[[1, 0], [0.5, 0]]", None])
+    def test_sum_rejects_malformed_or_missing_weight_file(self, capsys, tmp_path, contents):
+        wfile = tmp_path / "w.json"
+        if contents is not None:
+            wfile.write_text(contents, encoding="utf-8")
+        argv = ["sum", "--p", "101", "--h", "2", "--e", "1,1", "--k", "0,0", "--weights", f"file:{wfile}"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "config error: weights file" in captured.err
+
     def test_product_count_rejects_several_sides_or_corners(self, capsys):
         for extra in (["--h", "3,4"], ["--h", "3", "--k", "0,1"]):
             assert cli.main(["count", "--p", "7", "--nu", "2", *extra]) == 2, extra
@@ -408,6 +490,20 @@ class TestCli:
             assert cli.main(argv.split()) == 2, argv
         assert capsys.readouterr().err.count("config error:") == 8
         assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_rejects_fixed_lambda_dividing_a_skipped_prime(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_text("lambda = 5\nprime = 5\nprime = 101\n", encoding="utf-8")
+        argv = "sweep --config exp.cfg --bound s-all --n 4 --h 7 --trials 1 --seed 0"
+        assert cli.main(argv.split()) == 2
+        assert "fixed lambda" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "exp.cfg"]
+
+    def test_threads_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main("sweep --prime 101 --seed 0 --threads 2".split())
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_sum_and_count_reject_common_flags(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
