@@ -18,7 +18,6 @@ from .bounds import (
 from .characters import (
     MultChar,
     ResidueDistribution,
-    Spectrum,
     additive_char,
     additive_spectrum,
     char_interval_sum,

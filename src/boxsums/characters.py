@@ -86,18 +86,6 @@ class ResidueDistribution:
             raise ValueError(f"distribution must have length {self.ctx.p}")
 
 
-@dataclass
-class Spectrum:
-    """Additive transform of a residue distribution.
-
-    values[w] = sum_v dist[v] * e_p(w*v); satisfies Parseval's identity
-    sum_w |values[w]|^2 = p * sum_v |dist[v]|^2.
-    """
-
-    ctx: PrimeContext
-    values: np.ndarray
-
-
 def _spectrum_direct(dist: ResidueDistribution) -> np.ndarray:
     p = dist.ctx.p
     roots = _root_table(p)
@@ -113,19 +101,18 @@ def _spectrum_fast(dist: ResidueDistribution) -> np.ndarray:
     return dist.ctx.p * np.fft.ifft(dist.values)
 
 
-def additive_spectrum(dist: ResidueDistribution, method: str = "fast") -> Spectrum:
-    """Transform a residue distribution: values[w] = sum_v dist[v]*e_p(w*v).
+def additive_spectrum(dist: ResidueDistribution, method: str = "fast") -> np.ndarray:
+    """Transform a residue distribution: hat[w] = sum_v dist[v]*e_p(w*v), which
+    satisfies Parseval's identity sum_w |hat[w]|^2 = p * sum_v |dist[v]|^2.
 
     method: "fast" (FFT, O(p log p)) at every p; "direct" is the O(p^2)
     reference that the method-agreement checks call by name.
     """
     if method == "direct":
-        values = _spectrum_direct(dist)
-    elif method == "fast":
-        values = _spectrum_fast(dist)
-    else:
-        raise ValueError(f"unknown spectrum method {method!r}")
-    return Spectrum(ctx=dist.ctx, values=values)
+        return _spectrum_direct(dist)
+    if method == "fast":
+        return _spectrum_fast(dist)
+    raise ValueError(f"unknown spectrum method {method!r}")
 
 
 def check_weight_bound(w: np.ndarray) -> None:

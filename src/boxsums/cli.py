@@ -26,6 +26,7 @@ from .harness import (
     write_records_json,
 )
 from .modular import ExponentVector, build_context
+from .sampling import WEIGHT_KINDS
 from .sums import Box, PhaseWeights, SumSpec, TableWeights, UnitWeights
 from .verify import DEFAULT_PRIMES, run_verify
 
@@ -72,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n", action="append")
     p_sweep.add_argument("--h", action="append")
     p_sweep.add_argument("--trials")
-    p_sweep.add_argument("--weights", choices=("unit", "phase", "table"))
+    p_sweep.add_argument("--weights", choices=WEIGHT_KINDS)
     p_sweep.add_argument("--r", help="moment order for moment bounds")
 
     p_ps = sub.add_parser("prime-sweep", help="per-prime count ratios over a range")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .bounds import SELECTORS
 from .errors import ConfigInvalidError
+from .sampling import WEIGHT_KINDS
 
 MODES = ("verify", "sweep", "prime-sweep", "calibrate", "sum", "count")
 
@@ -29,8 +30,8 @@ class ExperimentConfig:
     n: list[int] = field(default_factory=list)
     h: list[int] = field(default_factory=list)
     exponent_pool: list[int] = field(default_factory=lambda: [-2, -1, 1, 2])
-    weights: str = "unit"  # unit | phase | table
-    lambda_policy: str = "random-coprime"  # fixed | random-coprime
+    weights: str = "unit"  # one of sampling.WEIGHT_KINDS
+    lambda_policy: str = "random-coprime"  # or fixed, which the lambda key sets
     lambda_value: int = 1
     trials: int = 20
     seed: int | None = None
@@ -49,7 +50,7 @@ class ExperimentConfig:
         mode = mode or self.mode
         if mode not in MODES:
             raise ConfigInvalidError(f"unknown mode {mode!r}")
-        if self.weights not in ("unit", "phase", "table"):
+        if self.weights not in WEIGHT_KINDS:
             raise ConfigInvalidError(f"unknown weight kind {self.weights!r}")
         if self.lambda_policy not in ("fixed", "random-coprime"):
             raise ConfigInvalidError(f"unknown lambda policy {self.lambda_policy!r}")
@@ -101,7 +102,6 @@ KEYS = {
     "h": ("h", _ints),
     "e": ("exponent_pool", _ints),
     "weights": ("weights", str),
-    "lambda_policy": ("lambda_policy", str),
     "lambda": ("lambda_value", int),  # also fixes lambda_policy
     "trials": ("trials", int),
     "seed": ("seed", int),

@@ -95,7 +95,7 @@ class CalibrationStore:
     """Append-only store of max observed ratios, keyed per experiment.
 
     Stored maxima never decrease; regressions compare fresh maxima
-    against 2x the stored values.
+    against cap(key), 2x the stored value.
     """
 
     def __init__(self, path: str | None = None):
@@ -108,13 +108,19 @@ class CalibrationStore:
             except FileNotFoundError:
                 pass
 
-    def get(self, key: str) -> dict | None:
-        return self.entries.get(key)
+    def constant(self, key: str) -> float | None:
+        """The stored max ratio, or None if the key was never calibrated."""
+        return self.entries.get(key, {}).get("max_ratio")
+
+    def cap(self, key: str) -> float | None:
+        """The regression cap, 2x the stored max ratio, or None."""
+        constant = self.constant(key)
+        return None if constant is None else 2 * constant
 
     def update(self, key: str, max_ratio: float, grid: str, seed: int) -> None:
-        old = self.entries.get(key)
+        old = self.constant(key)
         if old is not None:
-            max_ratio = max(max_ratio, old["max_ratio"])
+            max_ratio = max(max_ratio, old)
         self.entries[key] = {
             "max_ratio": max_ratio,
             "grid": grid,
@@ -271,10 +277,6 @@ class PrimeSweepReport:
     rows: list[counts.PrimeSweepRow]
     violation_fractions: dict[str, float]
 
-    @property
-    def max_ratio(self) -> float:
-        return max(row.ratio for row in self.rows)
-
 
 _CONSTANT_LADDER = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
@@ -291,10 +293,9 @@ def run_prime_sweep(config: ExperimentConfig, store: CalibrationStore | None = N
     if not rows:
         raise ConfigInvalidError(f"no usable primes in range [{lo}, {hi}]")
     constants = list(_CONSTANT_LADDER)
-    if store is not None:
-        entry = store.get(f"count-almost-all/nu={nu}")
-        if entry is not None:
-            constants.append(entry["max_ratio"])
+    stored = store.constant(f"count-almost-all/nu={nu}") if store is not None else None
+    if stored is not None:
+        constants.append(stored)
     fractions = {}
     for c in sorted(set(constants)):
         frac = sum(row.ratio > c for row in rows) / len(rows)
@@ -370,6 +371,24 @@ def char_moment_shape_ratio(seed: int, r: int) -> float:
     return best
 
 
+# Every calibrated metric, one entry per store key: (key, grid label, fresh), where
+# fresh(config) is the metric's max ratio; a label's {trials} is filled from the config.
+CALIBRATED = (
+    *(
+        (f"{s}/n={n}", f"p={CALIBRATION_PRIMES}, threshold +-0.05, trials={{trials}}",
+         lambda config, s=s, n=n: max(rec.ratio for rec in theorem_ratio_sweep(s, n, config)))
+        for s in CALIBRATED_SELECTORS for n in bounds.DIMS[s]
+    ),
+    *((f"char-moment/r={r}", f"p={_MOMENT_PRIMES}, 10 samples each",
+       lambda config, r=r: char_moment_shape_ratio(config.seed, r)) for r in (1, 2)),
+    *((f"count-growth/nu={nu}", "p<=101, h=3..8, k in {{0,1,-1}}",
+       lambda config, nu=nu: max(count_growth_ratios(nu))) for nu in (2, 3)),
+    # The almost-all-primes constant, which joins the prime-sweep ladder.
+    ("count-almost-all/nu=2", "primes in [250,500], h=6",
+     lambda config: max(row.ratio for row in counts.almost_all_rows(2, 6, 0, 250, 500))),
+)
+
+
 def run_calibrate(
     config: ExperimentConfig,
     store: CalibrationStore,
@@ -385,38 +404,10 @@ def run_calibrate(
     if not report.passed:
         raise VerifyNotGreenError("verification suite is not green")
 
-    # Theorem-ratio maxima over the threshold-spanning grid.
-    for selector in CALIBRATED_SELECTORS:
-        for n in bounds.DIMS[selector]:
-            records = theorem_ratio_sweep(selector, n, config)
-            if not records:
-                continue
-            max_ratio = max(r.ratio for r in records)
-            grid = f"p={CALIBRATION_PRIMES}, threshold +-0.05, trials={config.trials}"
-            store.update(f"{selector}/n={n}", max_ratio, grid, config.seed)
-            emit(f"calibrated {selector}/n={n}: max ratio {max_ratio:.6f}")
-
-    # Character-moment shape constants.
-    for r in (1, 2):
-        best = char_moment_shape_ratio(config.seed, r)
-        store.update(
-            f"char-moment/r={r}", best, f"p={_MOMENT_PRIMES}, 10 samples each", config.seed
-        )
-        emit(f"calibrated char-moment/r={r}: max ratio {best:.6f}")
-
-    # Product-count growth constants.
-    for nu in (2, 3):
-        best = max(count_growth_ratios(nu))
-        store.update(f"count-growth/nu={nu}", best, "p<=101, h=3..8, k in {0,1,-1}", config.seed)
-        emit(f"calibrated count-growth/nu={nu}: max ratio {best:.6f}")
-
-    # Almost-all-primes count constant (drives the prime-sweep ladder).
-    sweep_cfg = ExperimentConfig(
-        mode="prime-sweep", prime_range=(250, 500), nu=2, h=[6], k=0, seed=config.seed
-    )
-    report = run_prime_sweep(sweep_cfg)
-    store.update("count-almost-all/nu=2", report.max_ratio, "primes in [250,500], h=6", config.seed)
-    emit(f"calibrated count-almost-all/nu=2: max ratio {report.max_ratio:.6f}")
+    for key, grid, fresh in CALIBRATED:
+        best = fresh(config)
+        store.update(key, best, grid.format(trials=config.trials), config.seed)
+        emit(f"calibrated {key}: max ratio {best:.6f}")
 
     if store.path is not None:
         store.save()

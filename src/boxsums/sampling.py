@@ -15,6 +15,9 @@ from .sums import Box, PhaseWeights, SumSpec, TableWeights, UnitWeights, WeightS
 
 _MASK = (1 << 64) - 1
 
+# The weight kinds draw_weights dispatches on.
+WEIGHT_KINDS = ("unit", "phase", "table")
+
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for one trial, derived from seed and cell key. SeedSequence

@@ -202,7 +202,7 @@ def monomial_sum_bilinear(spec: SumSpec) -> SumResult:
     s = spec.n // 2
     d1 = monomial_value_distribution(spec, 0, s)
     d2 = monomial_value_distribution(spec, s, spec.n)
-    hat = additive_spectrum(d2).values
+    hat = additive_spectrum(d2)
     u = np.flatnonzero(d1.values)
     value = complex(d1.values[u] @ hat[(spec.lam * u) % p])
     return SumResult(value=value, terms=_terms(spec), method="bilinear")

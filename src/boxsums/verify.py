@@ -23,17 +23,16 @@ from .errors import ConfigInvalidError, OutOfRangeError
 from .modular import (
     ExponentVector, build_context, interval_powers, inv_mod, monomial_eval, monomial_values, pow_mod
 )
-from .sampling import draw_coprime_lambda, draw_spec, substream
+from .sampling import WEIGHT_KINDS, draw_coprime_lambda, draw_spec, substream
 from .sums import Box, SumSpec, UnitWeights, agreement_tolerance
 
 
 # Grid primes when a run names none.
 DEFAULT_PRIMES = (5, 7, 11, 13, 31, 101)
 
-# Specs per majorant check, and the weight kinds the random-spec checks cycle.
+# Specs per majorant check.
 CAUCHY_TRIALS = 1000
 HOLDER_TRIALS = 500
-WEIGHT_KINDS = ("unit", "phase", "table")
 
 
 @lru_cache(maxsize=None)
@@ -277,7 +276,7 @@ def _check_parseval(grid: VerifyGrid, store) -> CheckResult:
             rng = substream(grid.seed, p, 9001, i)
             vals = rng.normal(size=p) + 1j * rng.normal(size=p)
             dist = ResidueDistribution(ctx, vals)
-            hat = characters.additive_spectrum(dist).values
+            hat = characters.additive_spectrum(dist)
             lhs = float((np.abs(hat) ** 2).sum())
             rhs = p * float((np.abs(vals) ** 2).sum())
             count += 1
@@ -297,8 +296,8 @@ def _check_spectrum_methods(grid: VerifyGrid, store) -> CheckResult:
             rng = substream(grid.seed, p, 9002, i)
             vals = rng.normal(size=p) + 1j * rng.normal(size=p)
             dist = ResidueDistribution(ctx, vals)
-            direct = characters.additive_spectrum(dist, "direct").values
-            fast = characters.additive_spectrum(dist, "fast").values
+            direct = characters.additive_spectrum(dist, "direct")
+            fast = characters.additive_spectrum(dist, "fast")
             count += 1
             scale = 1.0 + float(np.abs(direct).max())
             res = float(np.abs(direct - fast).max()) / scale
@@ -599,12 +598,12 @@ def _check_count_growth(grid: VerifyGrid, store) -> CheckResult:
         best = max(ratios)
         count += len(ratios)
         per_nu[nu] = best
-        if store is not None:
-            entry = store.get(f"count-growth/nu={nu}")
-            if entry is not None and best > 2 * entry["max_ratio"]:
-                failures.append(
-                    f"nu={nu}: ratio {best:.4f} exceeds 2x calibrated {entry['max_ratio']:.4f}"
-                )
+        key = f"count-growth/nu={nu}"
+        cap = store.cap(key) if store is not None else None
+        if cap is not None and best > cap:
+            failures.append(
+                f"nu={nu}: ratio {best:.4f} exceeds 2x calibrated {store.constant(key):.4f}"
+            )
     notes = "max ratios " + ", ".join(f"nu={k}: {v:.4f}" for k, v in per_nu.items())
     if store is None:
         notes += " (no calibration store; record-only)"
@@ -672,13 +671,8 @@ def _check_bound_nontrivial(grid: VerifyGrid, store) -> CheckResult:
     for selector, dims in bounds.DIMS.items():
         for n in dims:
             alpha = bounds.nontrivial_threshold(selector, n)
-            constant = 1.0
-            calibrated = False
-            if store is not None:
-                entry = store.get(f"{selector}/n={n}")
-                if entry is not None:
-                    constant = entry["max_ratio"]
-                    calibrated = True
+            stored = store.constant(f"{selector}/n={n}") if store is not None else None
+            constant = 1.0 if stored is None else stored
             for p in _BOUND_PRIMES:
                 lo = p ** (alpha + 0.05)
                 for h in _log_grid(p):
@@ -690,7 +684,7 @@ def _check_bound_nontrivial(grid: VerifyGrid, store) -> CheckResult:
                         continue
                     count += 1
                     if not constant * v < float(h) ** n:
-                        if calibrated:
+                        if stored is not None:
                             failures.append(f"{selector}, n={n}, p={p}, h={h}: bound >= h^n")
                         else:
                             raw_findings += 1

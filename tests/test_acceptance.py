@@ -9,13 +9,12 @@ import pytest
 from boxsums import bounds, counts, sums
 from boxsums.config import ExperimentConfig
 from boxsums.harness import (
+    CALIBRATED,
     CALIBRATED_SELECTORS,
     CALIBRATION_PRIMES,
     CALIBRATION_TRIALS,
     CalibrationStore,
-    char_moment_shape_ratio,
     run_prime_sweep,
-    theorem_ratio_sweep,
     threshold_h_values,
 )
 from boxsums.modular import build_context, is_prime
@@ -120,39 +119,33 @@ def test_criterion_5_product_inequality_gcd():
     )
 
 
+def _fresh_against_caps(store, family):
+    """(key, fresh max ratio, stored cap) per CALIBRATED entry whose key starts with family."""
+    cfg = ExperimentConfig(seed=SEED, trials=CALIBRATION_TRIALS)
+    rows = []
+    for key, _, fresh in CALIBRATED:
+        if key.startswith(family):
+            cap = store.cap(key)
+            assert cap is not None, f"missing calibration for {key}"
+            rows.append((key, fresh(cfg), cap))
+    return rows
+
+
 def test_criterion_6_char_moment_shape(store):
-    worst = {}
-    for r in (1, 2):
-        entry = store.get(f"char-moment/r={r}")
-        assert entry is not None, f"missing calibration for char-moment/r={r}"
-        worst[r] = (char_moment_shape_ratio(SEED, r), 2 * entry["max_ratio"])
-    ok = all(best <= cap for best, cap in worst.values())
-    detail = "; ".join(
-        f"r={r}: max ratio {best:.4f} vs cap {cap:.4f}" for r, (best, cap) in worst.items()
-    )
+    rows = _fresh_against_caps(store, "char-moment/")
+    ok = all(best <= cap for _, best, cap in rows)
+    detail = "; ".join(f"{key}: max ratio {best:.4f} vs cap {cap:.4f}" for key, best, cap in rows)
     _report(6, "character-moment shape regression", ok, detail)
 
 
 def test_criterion_7_theorem_ratio_regression(store):
-    breaches = []
-    details = []
-    cfg = ExperimentConfig(seed=SEED, trials=CALIBRATION_TRIALS)
-    for selector in CALIBRATED_SELECTORS:
-        for n in bounds.DIMS[selector]:
-            entry = store.get(f"{selector}/n={n}")
-            assert entry is not None, f"missing calibration for {selector}/n={n}"
-            records = theorem_ratio_sweep(selector, n, cfg)
-            assert records, f"empty sweep for {selector}/n={n}"
-            best = max(r.ratio for r in records)
-            cap = 2 * entry["max_ratio"]
-            if best > cap:
-                breaches.append(f"{selector}/n={n}: {best:.4f} > {cap:.4f}")
-            details.append(f"{selector}/n={n}: {best:.3f}<= {cap:.3f}")
+    rows = _fresh_against_caps(store, tuple(f"{selector}/" for selector in CALIBRATED_SELECTORS))
+    breaches = [f"{key}: {best:.4f} > {cap:.4f}" for key, best, cap in rows if best > cap]
     _report(
         7,
         "theorem-ratio regression vs 2x calibration",
         not breaches,
-        "; ".join(breaches) if breaches else f"{len(details)} families within caps",
+        "; ".join(breaches) if breaches else f"{len(rows)} families within caps",
     )
 
 
@@ -161,8 +154,7 @@ def test_criterion_8_nontriviality_with_calibrated_constants(store):
     cells = 0
     for selector in CALIBRATED_SELECTORS:
         for n in bounds.DIMS[selector]:
-            entry = store.get(f"{selector}/n={n}")
-            constant = entry["max_ratio"]
+            constant = store.constant(f"{selector}/n={n}")
             alpha = bounds.nontrivial_threshold(selector, n)
             for p in CALIBRATION_PRIMES:
                 cutoff = p ** (alpha + 0.05)

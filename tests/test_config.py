@@ -36,7 +36,7 @@ class TestParse:
         assert cfg.seed == 3
 
     def test_unknown_key_rejected(self):
-        for text in ("primes = 5\n", "char_index = 5\n", "threads = 2\n"):
+        for text in ("primes = 5\n", "char_index = 5\n", "threads = 2\n", "lambda_policy = fixed\n"):
             with pytest.raises(ConfigInvalidError):
                 parse_config_text(text)
 
@@ -155,7 +155,6 @@ _KEY_CASES = {
     "h": ("sweep", "3 5", ["--h", "3", "--h", "5"], [3, 5]),
     "e": ("sweep", "-1 1", None, [-1, 1]),
     "weights": ("sweep", "phase", ["--weights", "phase"], "phase"),
-    "lambda_policy": ("sweep", "fixed", None, "fixed"),
     "lambda": ("sweep", "3", None, 3),
     "trials": ("calibrate", "7", ["--trials", "7"], 7),
     "seed": ("sweep", "9", ["--seed", "9"], 9),

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from boxsums import cli, harness, sums
-from boxsums.characters import ResidueDistribution, additive_spectrum
 from boxsums.config import ExperimentConfig
 from boxsums.counts import PrimeSweepRow
 from boxsums.errors import ConfigInvalidError, VerifyNotGreenError
@@ -26,7 +25,7 @@ from boxsums.harness import (
 from boxsums.modular import build_context
 from boxsums.sampling import substream
 from boxsums.sums import SumResult
-from boxsums.verify import DEFAULT_PRIMES, VerifyReport, run_verify
+from boxsums.verify import CHECKS, DEFAULT_PRIMES, VerifyGrid, VerifyReport, run_verify
 
 STORE_PATH = Path(__file__).resolve().parent.parent / "calibration" / "seed0.json"
 TIMING_COLUMNS = 2  # eval_ns, bound_ns sit last and are outside determinism
@@ -261,9 +260,9 @@ class TestCalibrationStore:
         store = CalibrationStore()
         store.update("x", 1.0, "g", 0)
         store.update("x", 0.5, "g", 0)
-        assert store.get("x")["max_ratio"] == 1.0
+        assert store.constant("x") == 1.0
         store.update("x", 2.0, "g", 0)
-        assert store.get("x")["max_ratio"] == 2.0
+        assert store.constant("x") == 2.0
 
     def test_save_load_roundtrip(self, tmp_path):
         path = tmp_path / "cal.json"
@@ -271,18 +270,28 @@ class TestCalibrationStore:
         store.update("a/n=4", 0.25, "grid", 7)
         store.save()
         reloaded = CalibrationStore(str(path))
-        assert reloaded.get("a/n=4")["max_ratio"] == 0.25
-        assert reloaded.get("a/n=4")["seed"] == 7
+        assert reloaded.constant("a/n=4") == 0.25
+        assert reloaded.entries["a/n=4"]["seed"] == 7
 
     def test_missing_file_is_empty(self, tmp_path):
         store = CalibrationStore(str(tmp_path / "missing.json"))
-        assert store.get("anything") is None
+        assert store.entries == {}
+
+    def test_constant_and_cap_of_stored_key(self):
+        store = CalibrationStore()
+        store.update("a/n=4", 0.25, "grid", 0)
+        assert store.constant("a/n=4") == 0.25
+        assert store.cap("a/n=4") == 0.5
+
+    def test_constant_and_cap_of_missing_key(self):
+        store = CalibrationStore()
+        assert store.constant("a/n=4") is None
+        assert store.cap("a/n=4") is None
 
     def test_committed_store_loads(self):
         store = CalibrationStore(str(STORE_PATH))
         for key in ("s-all/n=4", "t-moment/n=3", "char-moment/r=1", "count-growth/nu=2"):
-            entry = store.get(key)
-            assert entry is not None and entry["max_ratio"] > 0
+            assert store.constant(key) > 0
 
 
 @pytest.fixture
@@ -386,6 +395,25 @@ class TestVerifySuite:
         monkeypatch.setattr(verify_mod, "monomial_eval", corrupted)
         result = verify_mod.CHECKS["monomial-factor-agreement"](verify_mod.VerifyGrid(primes=(11,)), None)
         assert result.failures == ["p=11, x=(3, 5, 7), e=(1, -2, 2)"]
+
+    @pytest.mark.parametrize("name", ["count-growth-regression", "bound-nontrivial-range"])
+    def test_store_checks_pass_with_committed_store(self, name):
+        result = CHECKS[name](VerifyGrid(), CalibrationStore(str(STORE_PATH)))
+        assert result.passed
+        assert "record-only" not in result.notes
+
+    def test_count_growth_regression_fails_above_cap(self):
+        store = CalibrationStore()
+        store.update("count-growth/nu=2", 0.5, "test", 0)
+        result = CHECKS["count-growth-regression"](VerifyGrid(), store)
+        assert result.failures == ["nu=2: ratio 1.7612 exceeds 2x calibrated 0.5000"]
+
+    def test_bound_nontrivial_fails_with_calibrated_constant(self):
+        store = CalibrationStore()
+        store.update("s-all/n=4", 1e6, "test", 0)
+        result = CHECKS["bound-nontrivial-range"](VerifyGrid(), store)
+        assert len(result.failures) == 82
+        assert all(f.startswith("s-all, n=4, ") for f in result.failures)
 
     def test_empty_prime_list_rejected(self):
         cfg = ExperimentConfig(mode="verify", primes=[], trials=2, seed=0)
