@@ -1,8 +1,8 @@
 """Additive and multiplicative characters modulo p.
 
-Includes the additive spectrum transform of a residue distribution
-(always by FFT, O(p log p); the O(p^2) direct sum is kept only as the
-reference the tests and the verify suite compare against) and the one
+Includes the additive spectrum of a residue distribution (by FFT, or at
+given frequencies over its support where that is cheaper; the O(p^2) direct
+sum is the reference the tests and the verify suite compare against) and the one
 kernel for dilated character sums sum_x w(x) chi(u*x + lam) and their moments,
 which reduces u, x and lam mod p; the interval and split sums all call it.
 """
@@ -101,18 +101,29 @@ def _spectrum_fast(dist: ResidueDistribution) -> np.ndarray:
     return dist.ctx.p * np.fft.ifft(dist.values)
 
 
-def additive_spectrum(dist: ResidueDistribution, method: str = "fast") -> np.ndarray:
+def additive_spectrum(dist: ResidueDistribution, method: str | None = None, at=None) -> np.ndarray:
     """Transform a residue distribution: hat[w] = sum_v dist[v]*e_p(w*v), which
     satisfies Parseval's identity sum_w |hat[w]|^2 = p * sum_v |dist[v]|^2.
 
-    method: "fast" (FFT, O(p log p)) at every p; "direct" is the O(p^2)
-    reference that the method-agreement checks call by name.
+    `at` (integer frequencies, reduced mod p) asks for hat[at] alone: summed over
+    supp(dist) if |at| * |supp dist| <= p * ceil(log2 p), the FFT's work, else
+    gathered from the FFT. method "fast" (FFT) or "direct" (the O(p^2) reference
+    the method-agreement checks call by name) transforms every frequency.
     """
-    if method == "direct":
-        return _spectrum_direct(dist)
-    if method == "fast":
-        return _spectrum_fast(dist)
-    raise ValueError(f"unknown spectrum method {method!r}")
+    p = dist.ctx.p
+    if at is not None:
+        at, v = np.asarray(at, dtype=np.int64) % p, np.flatnonzero(dist.values)
+        if method is None and len(at) * len(v) <= p * (p - 1).bit_length():
+            # Rows of <= p (frequency, support point) pairs keep memory O(p), like the FFT's.
+            roots, mass, rows = _root_table(p), dist.values[v], max(1, p // max(1, len(v)))
+            out = np.empty(len(at), dtype=np.complex128)
+            for i in range(0, len(at), rows):
+                out[i : i + rows] = roots[np.outer(at[i : i + rows], v) % p] @ mass
+            return out
+    if method not in (None, "fast", "direct"):
+        raise ValueError(f"unknown spectrum method {method!r}")
+    hat = _spectrum_direct(dist) if method == "direct" else _spectrum_fast(dist)
+    return hat if at is None else hat[at]
 
 
 def check_weight_bound(w: np.ndarray) -> None:

@@ -122,15 +122,15 @@ def product_inequality_report(
     e: ExponentVector,
     h: Sequence[int],
     k: Sequence[int],
+    i_counts: Sequence[int] | None = None,
 ) -> ProductInequalityReport:
     """Check lhs <= prod_j I_j^{1/nu} (plain) and
     lhs <= prod_j (gcd(|e_j|, p-1) * I_j)^{1/nu} (gcd form), where
-    I_j = count_product_pairs_brute(nu, h_j, k_j)."""
+    I_j = count_product_pairs_brute(nu, h_j, k_j), counted here unless given."""
     nu = len(e)
     lhs = count_monomial_pairs_brute(ctx, e, h, k).value
-    i_counts = tuple(
-        count_product_pairs_brute(ctx, nu, h_j, k_j).value for h_j, k_j in zip(h, k)
-    )
+    if i_counts is None:
+        i_counts = [count_product_pairs_brute(ctx, nu, h_j, k_j).value for h_j, k_j in zip(h, k)]
     gcds = tuple(math.gcd(abs(e_j), ctx.p - 1) for e_j in e.e)
     rhs_plain = math.prod(i_counts) ** (1.0 / nu)
     rhs_gcd = math.prod(g * c for g, c in zip(gcds, i_counts)) ** (1.0 / nu)
@@ -141,6 +141,6 @@ def product_inequality_report(
         rhs_gcd=rhs_gcd,
         holds_plain=lhs <= rhs_plain + slack,
         holds_gcd=lhs <= rhs_gcd + slack,
-        i_counts=i_counts,
+        i_counts=tuple(i_counts),
         gcds=gcds,
     )

@@ -193,18 +193,18 @@ def monomial_sum_naive(spec: SumSpec) -> SumResult:
 def monomial_sum_bilinear(spec: SumSpec) -> SumResult:
     """Bilinear evaluation through the two half-box distributions.
 
-    Splits at s = floor(n/2), transforms the second half, and contracts
-    over the support of d1: sum_u d1[u] * hat_d2[lam*u mod p].
+    Splits at s = floor(n/2) and contracts over the support of d1:
+    sum_u d1[u] * hat_d2[lam*u mod p], where the spectrum of d2 is taken
+    only at those frequencies (by FFT or over supp d2, whichever costs
+    less); an empty supp d1 gives 0.
     """
     if spec.n < 2:
         raise DimensionTooSmallError("bilinear path needs n >= 2")
-    p = spec.ctx.p
     s = spec.n // 2
     d1 = monomial_value_distribution(spec, 0, s)
     d2 = monomial_value_distribution(spec, s, spec.n)
-    hat = additive_spectrum(d2)
     u = np.flatnonzero(d1.values)
-    value = complex(d1.values[u] @ hat[(spec.lam * u) % p])
+    value = complex(d1.values[u] @ additive_spectrum(d2, at=spec.lam * u))
     return SumResult(value=value, terms=_terms(spec), method="bilinear")
 
 

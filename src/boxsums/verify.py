@@ -558,12 +558,16 @@ def _check_product_inequality(grid: VerifyGrid, store) -> CheckResult:
     pool = [e for e in range(-3, 4) if e != 0]
     for p in (5, 7, 11, 13):
         ctx = _ctx(p)
+        # The plain counts I_j for nu = 2, once per side (h_j, k_j) of this p.
+        plain = {(h_j, k_j): counts.count_product_pairs_brute(ctx, 2, h_j, k_j).value
+                 for h_j in (3, 4, 5) if h_j < p for k_j in (0, 1)}
         for e in itertools.product(pool, repeat=2):
             for h in itertools.product((3, 4, 5), repeat=2):
                 if max(h) >= p:
                     continue
                 for k in itertools.product((0, 1), repeat=2):
-                    rep = counts.product_inequality_report(ctx, ExponentVector(e), h, k)
+                    i_counts = [plain[side] for side in zip(h, k)]
+                    rep = counts.product_inequality_report(ctx, ExponentVector(e), h, k, i_counts)
                     count += 1
                     if not rep.holds_gcd:
                         failures.append(f"gcd form broken: p={p}, e={e}, h={h}, k={k}")

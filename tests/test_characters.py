@@ -1,8 +1,10 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from boxsums import characters
 from boxsums.characters import (
     MultChar,
     ResidueDistribution,
@@ -157,6 +159,89 @@ class TestSpectrum:
         dist = ResidueDistribution(ctx7, np.zeros(7, dtype=complex))
         with pytest.raises(ValueError):
             additive_spectrum(dist, "bogus")
+
+
+def _fft_calls(monkeypatch) -> list:
+    """Record each FFT transform, so a test can tell which branch ran."""
+    calls, fft = [], characters._spectrum_fast
+    monkeypatch.setattr(characters, "_spectrum_fast", lambda dist: calls.append(1) or fft(dist))
+    return calls
+
+
+class TestSpectrumAt:
+    # (p, support size): dense at small p, sparse where the FFT is Bluestein's on a large p.
+    CASES = [(7, 7), (101, 101), (1009, 1009), (10007, 60), (100003, 300)]
+
+    @staticmethod
+    def _dist(p, supp, seed=0):
+        ctx = build_context(p)
+        rng = np.random.default_rng(seed)
+        vals = np.zeros(p, dtype=complex)
+        where = rng.choice(p, size=supp, replace=False)
+        vals[where] = rng.normal(size=supp) + 1j * rng.normal(size=supp)
+        return ResidueDistribution(ctx, vals)
+
+    @pytest.mark.parametrize("p, supp", CASES)
+    def test_matches_full_spectrum_on_both_sides_of_cost_rule(self, p, supp, monkeypatch):
+        dist = self._dist(p, supp)
+        full = additive_spectrum(dist)
+        tol = 1e-12 * (1 + np.abs(dist.values).sum())
+        calls = _fft_calls(monkeypatch)
+        limit = p * (p - 1).bit_length() // supp  # the most frequencies summed directly
+        rng = np.random.default_rng(1)
+        for size, fft_calls in ((limit, 0), (limit + 1, 1)):
+            at = rng.integers(0, p, size=size)
+            got = additive_spectrum(dist, at=at)
+            assert len(calls) == fft_calls
+            assert got.shape == (size,)
+            assert np.abs(got - full[at]).max() <= tol
+            calls.clear()
+
+    def test_empty_at(self, ctx7, monkeypatch):
+        calls = _fft_calls(monkeypatch)
+        for vals in (np.zeros(7), np.arange(7.0)):
+            got = additive_spectrum(ResidueDistribution(ctx7, vals), at=np.array([], dtype=np.int64))
+            assert got.shape == (0,) and got.dtype == np.complex128
+        assert calls == []
+
+    def test_empty_support_gives_zeros(self, ctx7):
+        got = additive_spectrum(ResidueDistribution(ctx7, np.zeros(7)), at=np.arange(7))
+        assert np.array_equal(got, np.zeros(7))
+
+    def test_repeated_and_zero_frequencies(self):
+        dist = self._dist(101, 40)
+        full = additive_spectrum(dist)
+        at = np.array([3, 3, 0, 3, 100, 0])
+        assert np.abs(additive_spectrum(dist, at=at) - full[at]).max() < 1e-12
+        # lam = 0 sends every frequency to 0, where the spectrum is the total mass.
+        zeros = additive_spectrum(dist, at=np.zeros(5, dtype=np.int64))
+        assert np.abs(zeros - dist.values.sum()).max() < 1e-12
+
+    def test_frequencies_reduced_mod_p(self):
+        dist = self._dist(101, 101)
+        got = additive_spectrum(dist, at=np.array([-1, 103, 101 * 2**40 + 5]))
+        assert np.abs(got - additive_spectrum(dist)[[100, 2, 5]]).max() < 1e-9
+
+    @pytest.mark.parametrize("method", ["direct", "fast"])
+    def test_named_method_gathers_its_own_spectrum(self, method):
+        dist = self._dist(31, 3)
+        at = np.array([0, 5, 5, 30])
+        assert np.array_equal(additive_spectrum(dist, method, at=at), additive_spectrum(dist, method)[at])
+
+    def test_direct_branch_memory_stays_blocked(self, monkeypatch):
+        # Just under the crossover, an unblocked (frequency, point) table needs about 40 MB.
+        p, supp = 100003, 1000
+        dist = self._dist(p, supp)
+        at = np.random.default_rng(2).integers(0, p, size=p * (p - 1).bit_length() // supp)
+        calls = _fft_calls(monkeypatch)
+        tracemalloc.start()
+        try:
+            additive_spectrum(dist, at=at)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak < 16 * 2**20
 
 
 class TestCharIntervalSum:

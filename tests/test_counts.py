@@ -182,6 +182,13 @@ class TestProductInequality:
         assert not rep.holds_plain
         assert rep.holds_gcd
 
+    def test_supplied_plain_counts_give_the_same_report(self, ctx7):
+        e, h, k = ExponentVector((2, -1)), (3, 4), (0, 1)
+        counted = product_inequality_report(ctx7, e, h, k)
+        i_counts = [count_product_pairs_brute(ctx7, 2, h_j, k_j).value for h_j, k_j in zip(h, k)]
+        assert product_inequality_report(ctx7, e, h, k, i_counts) == counted
+        assert counted.i_counts == tuple(i_counts)
+
     @pytest.mark.parametrize("p", [5, 7, 11])
     def test_gcd_form_holds_on_sample(self, p):
         ctx = build_context(p)

@@ -163,6 +163,30 @@ class TestMonomialSumBilinear:
             assert abs(naive.value - fast.value) < agreement_tolerance(naive.terms)
             assert naive.terms == fast.terms
 
+    @pytest.mark.parametrize("k", [(6, 0), (0, 6)], ids=["first-half-empty", "second-half-empty"])
+    def test_empty_half_gives_zero(self, ctx7, k):
+        # With h = 1 the side [7, 7] holds only the multiple 7 of p, so that half has no support.
+        spec = _spec(ctx7, k, 1, (1, 1), lam=3)
+        naive, fast = monomial_sum_naive(spec), monomial_sum_bilinear(spec)
+        assert fast.value == 0
+        assert fast.terms == naive.terms == 0
+
+    # p = 1009, n = 4, h = 15: |supp d1| * |supp d2| exceeds p * ceil(log2 p), so the FFT runs;
+    # p = 10007, n = 2, h = 158: it stays below, so the spectrum is summed over supp d2.
+    @pytest.mark.parametrize("p, n, h, fft_calls", [(1009, 4, 15, 1), (10007, 2, 158, 0)])
+    def test_agrees_with_naive_on_each_branch(self, p, n, h, fft_calls, monkeypatch):
+        from boxsums import characters
+
+        calls, fft = [], characters._spectrum_fast
+        monkeypatch.setattr(characters, "_spectrum_fast", lambda dist: calls.append(1) or fft(dist))
+        ctx = build_context(p)
+        for trial, kind in enumerate(("unit", "phase", "table")):
+            spec = draw_spec(substream(7, p, n, trial), ctx, n, h, [-3, -2, -1, 1, 2, 3], kind)
+            naive, fast = monomial_sum_naive(spec), monomial_sum_bilinear(spec)
+            assert abs(naive.value - fast.value) < agreement_tolerance(naive.terms)
+            assert naive.terms == fast.terms
+            assert len(calls) == fft_calls * (trial + 1)
+
     def test_lambda_zero_factorizes(self, ctx7):
         spec = _spec(ctx7, (0, 1), 3, (1, -1), lam=0)
         d1 = monomial_value_distribution(spec, 0, 1).values.sum()
