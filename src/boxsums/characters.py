@@ -1,10 +1,11 @@
 """Additive and multiplicative characters modulo p.
 
 Includes the additive spectrum of a residue distribution (by FFT, or at
-given frequencies over its support where that is cheaper; the O(p^2) direct
-sum is the reference the tests and the verify suite compare against) and the one
-kernel for dilated character sums sum_x w(x) chi(u*x + lam) and their moments,
-which reduces u, x and lam mod p; the interval and split sums all call it.
+given frequencies over its support where that is cheaper; the O(p^2)
+`spectrum_direct` is the reference the tests and the verify suite compare
+against) and the one kernel for dilated character sums sum_x w(x) chi(u*x + lam)
+and their moments, which reduces u, x and lam mod p; the interval and split
+sums all call it.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ class ResidueDistribution:
             raise ValueError(f"distribution must have length {self.ctx.p}")
 
 
-def _spectrum_direct(dist: ResidueDistribution) -> np.ndarray:
+def spectrum_direct(dist: ResidueDistribution) -> np.ndarray:
+    """The O(p^2) reference for additive_spectrum: each frequency summed over every residue."""
     p = dist.ctx.p
     roots = _root_table(p)
     v = np.arange(p, dtype=np.int64)
@@ -101,29 +103,26 @@ def _spectrum_fast(dist: ResidueDistribution) -> np.ndarray:
     return dist.ctx.p * np.fft.ifft(dist.values)
 
 
-def additive_spectrum(dist: ResidueDistribution, method: str | None = None, at=None) -> np.ndarray:
-    """Transform a residue distribution: hat[w] = sum_v dist[v]*e_p(w*v), which
-    satisfies Parseval's identity sum_w |hat[w]|^2 = p * sum_v |dist[v]|^2.
+def additive_spectrum(dist: ResidueDistribution, at=None) -> np.ndarray:
+    """Transform a residue distribution by FFT: hat[w] = sum_v dist[v]*e_p(w*v),
+    which satisfies Parseval's identity sum_w |hat[w]|^2 = p * sum_v |dist[v]|^2.
 
     `at` (integer frequencies, reduced mod p) asks for hat[at] alone: summed over
     supp(dist) if |at| * |supp dist| <= p * ceil(log2 p), the FFT's work, else
-    gathered from the FFT. method "fast" (FFT) or "direct" (the O(p^2) reference
-    the method-agreement checks call by name) transforms every frequency.
+    gathered from the FFT.
     """
+    if at is None:
+        return _spectrum_fast(dist)
     p = dist.ctx.p
-    if at is not None:
-        at, v = np.asarray(at, dtype=np.int64) % p, np.flatnonzero(dist.values)
-        if method is None and len(at) * len(v) <= p * (p - 1).bit_length():
-            # Rows of <= p (frequency, support point) pairs keep memory O(p), like the FFT's.
-            roots, mass, rows = _root_table(p), dist.values[v], max(1, p // max(1, len(v)))
-            out = np.empty(len(at), dtype=np.complex128)
-            for i in range(0, len(at), rows):
-                out[i : i + rows] = roots[np.outer(at[i : i + rows], v) % p] @ mass
-            return out
-    if method not in (None, "fast", "direct"):
-        raise ValueError(f"unknown spectrum method {method!r}")
-    hat = _spectrum_direct(dist) if method == "direct" else _spectrum_fast(dist)
-    return hat if at is None else hat[at]
+    at, v = np.asarray(at, dtype=np.int64) % p, np.flatnonzero(dist.values)
+    if len(at) * len(v) > p * (p - 1).bit_length():
+        return _spectrum_fast(dist)[at]
+    # Rows of <= p (frequency, support point) pairs keep memory O(p), like the FFT's.
+    roots, mass, rows = _root_table(p), dist.values[v], max(1, p // max(1, len(v)))
+    out = np.empty(len(at), dtype=np.complex128)
+    for i in range(0, len(at), rows):
+        out[i : i + rows] = roots[np.outer(at[i : i + rows], v) % p] @ mass
+    return out
 
 
 def check_weight_bound(w: np.ndarray) -> None:

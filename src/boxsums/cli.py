@@ -43,12 +43,19 @@ def _int_list(raw: str) -> list[int]:
         raise ConfigInvalidError(f"expected comma-separated integers, got {raw!r}") from exc
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--seed", help="64-bit seed for randomized modes")
-    parser.add_argument("--out", help="output file path")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format")
-    parser.add_argument("--calibration", help="path to the calibration store")
+_COMMON_FLAGS = {
+    "config": dict(help="path to a key = value config file"),
+    "seed": dict(help="64-bit seed for randomized modes"),
+    "out": dict(help="output file path"),
+    "format": dict(choices=("csv", "json"), help="output format"),
+    "calibration": dict(help="path to the calibration store"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Register the common flags a run mode reads; argparse rejects the others."""
+    for name in names:
+        parser.add_argument(f"--{name}", **_COMMON_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,12 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
-    _add_common(p_verify)
+    _add_common(p_verify, "config", "seed", "calibration")
     p_verify.add_argument("--prime", action="append", help="grid prime (repeatable)")
     p_verify.add_argument("--trials", help="seeded trials per cell")
 
     p_sweep = sub.add_parser("sweep", help="ratio sweep against a bound family")
-    _add_common(p_sweep)
+    _add_common(p_sweep, "config", "seed", "out", "format")
     p_sweep.add_argument("--prime", action="append")
     p_sweep.add_argument("--bound", action="append", choices=bounds.SELECTORS)
     p_sweep.add_argument("--n", action="append")
@@ -77,14 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--r", help="moment order for moment bounds")
 
     p_ps = sub.add_parser("prime-sweep", help="per-prime count ratios over a range")
-    _add_common(p_ps)
+    _add_common(p_ps, "config", "out", "format", "calibration")
     p_ps.add_argument("--range", dest="prime_range", nargs=2, metavar=("LO", "HI"))
     p_ps.add_argument("--nu")
     p_ps.add_argument("--h")
     p_ps.add_argument("--k")
 
     p_cal = sub.add_parser("calibrate", help="record max observed ratios")
-    _add_common(p_cal)
+    _add_common(p_cal, "config", "seed", "calibration")
     p_cal.add_argument("--trials")
 
     # sum and count read none of the common flags, so they take none.

@@ -1,7 +1,12 @@
 """The verification suite: every module invariant as a named check.
 
-Each check runs over a configurable grid and reports its instance count
-and worst residual. The suite carries a fixed inventory of check names
+A check registers with `@check(name)`: the registry builds its CheckResult,
+passes it to the check body as `out`, and returns it. The body tallies each
+instance with `out.add(residual, *failures)`, which counts the instance, keeps
+the running max of the residual (from 0.0) and records each failure that is a
+message; bodies pass `cond and f"..."`, so a message is formatted only when
+the check fails. Checks that walk the same grid share its generator, and each
+computes its own values. The suite carries a fixed inventory of check names
 and refuses to run if the registry does not cover it exactly.
 `monomial-factor-agreement` checks both the monomial kernels and `monomial_eval`.
 """
@@ -12,7 +17,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, Iterable
 
 import numpy as np
@@ -58,11 +63,18 @@ class VerifyGrid:
 @dataclass
 class CheckResult:
     name: str
-    instances: int
-    max_residual: float
+    instances: int = 0
+    max_residual: float = 0.0
     failures: list[str] = field(default_factory=list)
     report_only: bool = False
     notes: str = ""
+
+    def add(self, residual: float = 0.0, *failures, instances: int = 1) -> None:
+        """Tally instances with their worst residual, and keep each failure
+        that is a message (a falsy one is a condition that held)."""
+        self.instances += instances
+        self.max_residual = max(self.max_residual, residual)
+        self.failures.extend(f for f in failures if f)
 
     @property
     def passed(self) -> bool:
@@ -77,12 +89,9 @@ class VerifyReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.passed else 1
-
 
 CheckFn = Callable[[VerifyGrid, "object"], CheckResult]
+CheckBody = Callable[[VerifyGrid, "object", CheckResult], None]
 CHECKS: dict[str, CheckFn] = {}
 
 EXPECTED_INVENTORY = (
@@ -120,10 +129,18 @@ EXPECTED_INVENTORY = (
 )
 
 
-def check(name: str) -> Callable[[CheckFn], CheckFn]:
-    def deco(fn: CheckFn) -> CheckFn:
-        CHECKS[name] = fn
-        return fn
+def check(name: str) -> Callable[[CheckBody], CheckFn]:
+    """Register body as the check `name`, run as CHECKS[name](grid, store)."""
+
+    def deco(body: CheckBody) -> CheckFn:
+        @wraps(body)
+        def run(grid: VerifyGrid, store) -> CheckResult:
+            out = CheckResult(name)
+            body(grid, store, out)
+            return out
+
+        CHECKS[name] = run
+        return run
 
     return deco
 
@@ -132,43 +149,32 @@ def check(name: str) -> Callable[[CheckFn], CheckFn]:
 
 
 @check("pow-fermat-inverse")
-def _check_fermat(grid: VerifyGrid, store) -> CheckResult:
-    failures, count = [], 0
+def _check_fermat(grid: VerifyGrid, store, out: CheckResult) -> None:
     for p in grid.primes:
         for a in range(1, p):
-            count += 1
-            if pow_mod(a, p - 1, p) != 1:
-                failures.append(f"a^(p-1) != 1 for a={a}, p={p}")
-            if a * inv_mod(a, p) % p != 1:
-                failures.append(f"a*inv(a) != 1 for a={a}, p={p}")
-    return CheckResult("pow-fermat-inverse", count, 0.0, failures)
+            out.add(
+                0.0,
+                pow_mod(a, p - 1, p) != 1 and f"a^(p-1) != 1 for a={a}, p={p}",
+                a * inv_mod(a, p) % p != 1 and f"a*inv(a) != 1 for a={a}, p={p}",
+            )
 
 
 @check("pow-negative-exponent-inverse")
-def _check_pow_neg(grid: VerifyGrid, store) -> CheckResult:
-    failures, count = [], 0
+def _check_pow_neg(grid: VerifyGrid, store, out: CheckResult) -> None:
     for p in grid.primes:
         for a in range(1, p):
             for e in range(-5, 6):
-                count += 1
-                if pow_mod(a, e, p) * pow_mod(a, -e, p) % p != 1:
-                    failures.append(f"a={a}, e={e}, p={p}")
-    return CheckResult("pow-negative-exponent-inverse", count, 0.0, failures)
+                out.add(0.0, pow_mod(a, e, p) * pow_mod(a, -e, p) % p != 1 and f"a={a}, e={e}, p={p}")
 
 
 @check("index-bijection")
-def _check_index(grid: VerifyGrid, store) -> CheckResult:
-    failures, count = [], 0
+def _check_index(grid: VerifyGrid, store, out: CheckResult) -> None:
     for p in grid.primes:
         ctx = _ctx(p)
         seen = sorted(int(v) for v in ctx.index[1:])
-        if seen != list(range(p - 1)):
-            failures.append(f"index not a bijection for p={p}")
+        out.add(0.0, seen != list(range(p - 1)) and f"index not a bijection for p={p}", instances=0)
         for k in range(p - 1):
-            count += 1
-            if ctx.index[pow_mod(ctx.g, k, p)] != k:
-                failures.append(f"index[g^{k}] != {k} for p={p}")
-    return CheckResult("index-bijection", count, 0.0, failures)
+            out.add(0.0, ctx.index[pow_mod(ctx.g, k, p)] != k and f"index[g^{k}] != {k} for p={p}")
 
 
 def _slow_pow(x: int, e: int, p: int) -> int:
@@ -184,10 +190,9 @@ def _slow_pow(x: int, e: int, p: int) -> int:
 
 
 @check("monomial-factor-agreement")
-def _check_monomial(grid: VerifyGrid, store) -> CheckResult:
+def _check_monomial(grid: VerifyGrid, store, out: CheckResult) -> None:
     """Both the kernels every sum and count runs (`interval_powers`, `monomial_values`) and
     `monomial_eval`, at each tuple of [1, p-1]^n, against products of tabulated `_slow_pow`."""
-    failures, count = [], 0
     for p in [q for q in grid.primes if q <= 13]:
         ctx = _ctx(p)
         oracle = {ej: [_slow_pow(x, ej, p) for x in range(1, p)] for ej in (-2, -1, 1, 2)}
@@ -196,42 +201,39 @@ def _check_monomial(grid: VerifyGrid, store) -> CheckResult:
                 ev = ExponentVector(e)
                 kernel = monomial_values([interval_powers(0, p - 1, ej, p)[1] for ej in e], p).tolist()
                 want = [math.prod(f) % p for f in itertools.product(*(oracle[ej] for ej in e))]
-                if len(kernel) != len(want):
-                    failures.append(f"p={p}, e={e}: {len(kernel)} kernel values, want {len(want)}")
-                count += len(want)
-                for x, got, w in zip(itertools.product(range(1, p), repeat=n), kernel, want):
-                    if got != w or monomial_eval(ctx, x, ev) != w:
-                        failures.append(f"p={p}, x={x}, e={e}")
-    return CheckResult("monomial-factor-agreement", count, 0.0, failures)
+                # One tally per e: each tuple is an instance, and a message is built only for a mismatch.
+                short = len(kernel) != len(want)
+                out.add(
+                    0.0,
+                    short and f"p={p}, e={e}: {len(kernel)} kernel values, want {len(want)}",
+                    *(
+                        f"p={p}, x={x}, e={e}"
+                        for x, got, w in zip(itertools.product(range(1, p), repeat=n), kernel, want)
+                        if got != w or monomial_eval(ctx, x, ev) != w
+                    ),
+                    instances=len(want),
+                )
 
 
 # ------------------------------------------------------------------ characters
 
 
 @check("additive-char-homomorphism")
-def _check_additive_hom(grid: VerifyGrid, store) -> CheckResult:
-    failures, count, worst = [], 0, 0.0
+def _check_additive_hom(grid: VerifyGrid, store, out: CheckResult) -> None:
     for p in grid.primes:
         ctx = _ctx(p)
         vals = np.array([characters.additive_char(ctx, z) for z in range(p)])
         mod_res = float(np.abs(np.abs(vals) - 1).max())
-        worst = max(worst, mod_res)
-        if mod_res > 1e-12:
-            failures.append(f"|e_p(z)| != 1 at p={p}")
+        out.add(mod_res, mod_res > 1e-12 and f"|e_p(z)| != 1 at p={p}", instances=0)
         for z1 in range(p):
             prod = vals[z1] * vals
             both = np.array([vals[(z1 + z2) % p] for z2 in range(p)])
-            count += p
             res = float(np.abs(both - prod).max())
-            worst = max(worst, res)
-            if res > 1e-12:
-                failures.append(f"homomorphism residual {res:.2e} at p={p}, z1={z1}")
-    return CheckResult("additive-char-homomorphism", count, worst, failures)
+            out.add(res, res > 1e-12 and f"homomorphism residual {res:.2e} at p={p}, z1={z1}", instances=p)
 
 
 @check("mult-char-multiplicative")
-def _check_mult_char(grid: VerifyGrid, store) -> CheckResult:
-    failures, count, worst = [], 0, 0.0
+def _check_mult_char(grid: VerifyGrid, store, out: CheckResult) -> None:
     for p in [q for q in grid.primes if q <= 31]:
         ctx = _ctx(p)
         for a in {1, 2, (p - 1) // 2, p - 2}:
@@ -239,77 +241,56 @@ def _check_mult_char(grid: VerifyGrid, store) -> CheckResult:
             t = chi.table()
             x = np.arange(1, p)
             for xv in range(1, p):
-                count += p - 1
                 lhs = t[(xv * x) % p]
                 rhs = t[xv] * t[x]
                 res = float(np.abs(lhs - rhs).max())
-                worst = max(worst, res)
-                if res > 1e-10:
-                    failures.append(f"p={p}, a={a}, x={xv}, residual {res:.2e}")
-    return CheckResult("mult-char-multiplicative", count, worst, failures)
+                out.add(res, res > 1e-10 and f"p={p}, a={a}, x={xv}, residual {res:.2e}", instances=p - 1)
 
 
 @check("char-orthogonality")
-def _check_orthogonality(grid: VerifyGrid, store) -> CheckResult:
-    failures, count, worst = [], 0, 0.0
+def _check_orthogonality(grid: VerifyGrid, store, out: CheckResult) -> None:
     for p in grid.primes:
         ctx = _ctx(p)
         m = p - 1
         a = np.arange(m)
         for x in range(1, p):
-            count += 1
             total = np.exp(2j * np.pi * ((a * ctx.ind(x)) % m) / m).sum()
             want = m if x == 1 else 0.0
             res = abs(total - want)
-            worst = max(worst, res)
-            if res > 1e-8 * p:
-                failures.append(f"p={p}, x={x}, residual {res:.2e}")
-    return CheckResult("char-orthogonality", count, worst, failures)
+            out.add(res, res > 1e-8 * p and f"p={p}, x={x}, residual {res:.2e}")
+
+
+def _random_dists(grid: VerifyGrid, tag: int):
+    """Five random complex distributions per grid prime, each from substream(seed, p, tag, i)."""
+    for p in grid.primes:
+        ctx = _ctx(p)
+        for i in range(5):
+            rng = substream(grid.seed, p, tag, i)
+            yield p, i, ResidueDistribution(ctx, rng.normal(size=p) + 1j * rng.normal(size=p))
 
 
 @check("spectrum-parseval")
-def _check_parseval(grid: VerifyGrid, store) -> CheckResult:
-    failures, count, worst = [], 0, 0.0
-    for p in grid.primes:
-        ctx = _ctx(p)
-        for i in range(5):
-            rng = substream(grid.seed, p, 9001, i)
-            vals = rng.normal(size=p) + 1j * rng.normal(size=p)
-            dist = ResidueDistribution(ctx, vals)
-            hat = characters.additive_spectrum(dist)
-            lhs = float((np.abs(hat) ** 2).sum())
-            rhs = p * float((np.abs(vals) ** 2).sum())
-            count += 1
-            res = abs(lhs - rhs) / rhs
-            worst = max(worst, res)
-            if res > 1e-9:
-                failures.append(f"p={p}, trial={i}, rel residual {res:.2e}")
-    return CheckResult("spectrum-parseval", count, worst, failures)
+def _check_parseval(grid: VerifyGrid, store, out: CheckResult) -> None:
+    for p, i, dist in _random_dists(grid, 9001):
+        hat = characters.additive_spectrum(dist)
+        lhs = float((np.abs(hat) ** 2).sum())
+        rhs = p * float((np.abs(dist.values) ** 2).sum())
+        res = abs(lhs - rhs) / rhs
+        out.add(res, res > 1e-9 and f"p={p}, trial={i}, rel residual {res:.2e}")
 
 
 @check("spectrum-method-agreement")
-def _check_spectrum_methods(grid: VerifyGrid, store) -> CheckResult:
-    failures, count, worst = [], 0, 0.0
-    for p in grid.primes:
-        ctx = _ctx(p)
-        for i in range(5):
-            rng = substream(grid.seed, p, 9002, i)
-            vals = rng.normal(size=p) + 1j * rng.normal(size=p)
-            dist = ResidueDistribution(ctx, vals)
-            direct = characters.additive_spectrum(dist, "direct")
-            fast = characters.additive_spectrum(dist, "fast")
-            count += 1
-            scale = 1.0 + float(np.abs(direct).max())
-            res = float(np.abs(direct - fast).max()) / scale
-            worst = max(worst, res)
-            if res > 1e-8:
-                failures.append(f"p={p}, trial={i}, rel residual {res:.2e}")
-    return CheckResult("spectrum-method-agreement", count, worst, failures)
+def _check_spectrum_methods(grid: VerifyGrid, store, out: CheckResult) -> None:
+    for p, i, dist in _random_dists(grid, 9002):
+        direct = characters.spectrum_direct(dist)
+        fast = characters.additive_spectrum(dist)
+        scale = 1.0 + float(np.abs(direct).max())
+        res = float(np.abs(direct - fast).max()) / scale
+        out.add(res, res > 1e-8 and f"p={p}, trial={i}, rel residual {res:.2e}")
 
 
 @check("char-moment-direct-recount")
-def _check_char_moment_recount(grid: VerifyGrid, store) -> CheckResult:
-    failures, count, worst = [], 0, 0.0
+def _check_char_moment_recount(grid: VerifyGrid, store, out: CheckResult) -> None:
     for p in [q for q in grid.primes if 7 <= q <= 31]:
         ctx = _ctx(p)
         for i in range(5):
@@ -333,12 +314,8 @@ def _check_char_moment_recount(grid: VerifyGrid, store) -> CheckResult:
                     ind = ctx.ind(arg)
                     inner += complex(rho[idx]) * cmath.exp(2j * cmath.pi * ((a * ind) % m) / m)
                 want += abs(inner) ** 2
-            count += 1
             res = abs(got - want) / (1.0 + want)
-            worst = max(worst, res)
-            if res > 1e-10:
-                failures.append(f"p={p}, trial={i}, rel residual {res:.2e}")
-    return CheckResult("char-moment-direct-recount", count, worst, failures)
+            out.add(res, res > 1e-10 and f"p={p}, trial={i}, rel residual {res:.2e}")
 
 
 # ------------------------------------------------------------------------ sums
@@ -351,85 +328,63 @@ def _iter_cells(grid: VerifyGrid) -> Iterable[tuple[int, int, int]]:
                 yield p, n, h
 
 
-@check("sum-methods-agree-S")
-def _check_agree_s(grid: VerifyGrid, store) -> CheckResult:
-    failures, count, worst = [], 0, 0.0
+def _cell_specs(grid: VerifyGrid, tag: int, trials: int, kind: str | None = None):
+    """(p, n, h, trial, spec, rng) for each cell and trial, drawn from
+    substream(seed, p, n, h, trial + tag); the weight kind cycles unless given."""
     for p, n, h in _iter_cells(grid):
-        if n < 2:
-            continue
         ctx = _ctx(p)
-        for trial in range(grid.trials):
-            rng = substream(grid.seed, p, n, h, trial)
-            kind = WEIGHT_KINDS[trial % len(WEIGHT_KINDS)]
-            spec = draw_spec(rng, ctx, n, h, list(grid.exponent_pool), kind)
-            naive = sums.monomial_sum_naive(spec)
-            fast = sums.monomial_sum_bilinear(spec)
-            count += 1
-            tol = agreement_tolerance(naive.terms)
-            res = abs(naive.value - fast.value) / tol
-            worst = max(worst, res * tol)
-            if res > 1.0:
-                failures.append(f"S methods disagree: p={p}, n={n}, h={h}, trial={trial}")
-            if fast.terms != naive.terms:
-                failures.append(f"terms disagree: p={p}, n={n}, h={h}, trial={trial}")
-    return CheckResult("sum-methods-agree-S", count, worst, failures)
+        for trial in range(trials):
+            rng = substream(grid.seed, p, n, h, trial + tag)
+            weights = kind or WEIGHT_KINDS[trial % len(WEIGHT_KINDS)]
+            yield p, n, h, trial, draw_spec(rng, ctx, n, h, list(grid.exponent_pool), weights), rng
+
+
+@check("sum-methods-agree-S")
+def _check_agree_s(grid: VerifyGrid, store, out: CheckResult) -> None:
+    for p, n, h, trial, spec, rng in _cell_specs(grid, 0, grid.trials):
+        if n < 2:  # the bilinear form splits the box in two
+            continue
+        naive = sums.monomial_sum_naive(spec)
+        fast = sums.monomial_sum_bilinear(spec)
+        tol = agreement_tolerance(naive.terms)
+        res = abs(naive.value - fast.value) / tol
+        out.add(
+            res * tol,
+            res > 1.0 and f"S methods disagree: p={p}, n={n}, h={h}, trial={trial}",
+            fast.terms != naive.terms and f"terms disagree: p={p}, n={n}, h={h}, trial={trial}",
+        )
 
 
 @check("sum-methods-agree-T")
-def _check_agree_t(grid: VerifyGrid, store) -> CheckResult:
-    failures, count, worst = [], 0, 0.0
-    for p, n, h in _iter_cells(grid):
-        if n < 2:
+def _check_agree_t(grid: VerifyGrid, store, out: CheckResult) -> None:
+    for p, n, h, trial, spec, rng in _cell_specs(grid, 10_000, grid.trials):
+        if n < 2:  # the split sum splits the box in two
             continue
-        ctx = _ctx(p)
-        for trial in range(grid.trials):
-            rng = substream(grid.seed, p, n, h, trial + 10_000)
-            kind = WEIGHT_KINDS[trial % len(WEIGHT_KINDS)]
-            spec = draw_spec(rng, ctx, n, h, list(grid.exponent_pool), kind)
-            chi = MultChar(ctx, int(rng.integers(0, p - 1)))
-            naive = sums.character_sum_naive(spec, chi)
-            fast = sums.character_sum_split(spec, chi)
-            count += 1
-            tol = agreement_tolerance(naive.terms)
-            res = abs(naive.value - fast.value)
-            worst = max(worst, res)
-            if res > tol:
-                failures.append(f"T methods disagree: p={p}, n={n}, h={h}, trial={trial}")
-    return CheckResult("sum-methods-agree-T", count, worst, failures)
+        chi = MultChar(spec.ctx, int(rng.integers(0, p - 1)))
+        naive = sums.character_sum_naive(spec, chi)
+        fast = sums.character_sum_split(spec, chi)
+        tol = agreement_tolerance(naive.terms)
+        res = abs(naive.value - fast.value)
+        out.add(res, res > tol and f"T methods disagree: p={p}, n={n}, h={h}, trial={trial}")
 
 
 @check("trivial-bound")
-def _check_trivial(grid: VerifyGrid, store) -> CheckResult:
-    failures, count = [], 0
-    for p, n, h in _iter_cells(grid):
-        ctx = _ctx(p)
-        for trial in range(min(grid.trials, 5)):
-            rng = substream(grid.seed, p, n, h, trial + 20_000)
-            spec = draw_spec(rng, ctx, n, h, list(grid.exponent_pool), "table")
-            res = sums.monomial_sum_naive(spec)
-            count += 1
-            if not abs(res.value) <= res.terms + 1e-9 or not res.terms <= h**n:
-                failures.append(f"trivial bound broken: p={p}, n={n}, h={h}")
-    return CheckResult("trivial-bound", count, 0.0, failures)
+def _check_trivial(grid: VerifyGrid, store, out: CheckResult) -> None:
+    for p, n, h, trial, spec, rng in _cell_specs(grid, 20_000, min(grid.trials, 5), "table"):
+        res = sums.monomial_sum_naive(spec)
+        broken = not abs(res.value) <= res.terms + 1e-9 or not res.terms <= h**n
+        out.add(0.0, broken and f"trivial bound broken: p={p}, n={n}, h={h}")
 
 
 @check("conjugation-symmetry")
-def _check_conj(grid: VerifyGrid, store) -> CheckResult:
-    failures, count, worst = [], 0, 0.0
-    for p, n, h in _iter_cells(grid):
-        ctx = _ctx(p)
-        for trial in range(min(grid.trials, 5)):
-            rng = substream(grid.seed, p, n, h, trial + 30_000)
-            spec = draw_spec(rng, ctx, n, h, list(grid.exponent_pool), "unit")
-            mirrored = SumSpec(ctx, spec.box, spec.e, UnitWeights(), p - spec.lam)
-            a = sums.monomial_sum_naive(spec)
-            b = sums.monomial_sum_naive(mirrored)
-            count += 1
-            res = abs(b.value - a.value.conjugate())
-            worst = max(worst, res)
-            if res > agreement_tolerance(a.terms):
-                failures.append(f"conjugation broken: p={p}, n={n}, h={h}, trial={trial}")
-    return CheckResult("conjugation-symmetry", count, worst, failures)
+def _check_conj(grid: VerifyGrid, store, out: CheckResult) -> None:
+    for p, n, h, trial, spec, rng in _cell_specs(grid, 30_000, min(grid.trials, 5), "unit"):
+        mirrored = SumSpec(spec.ctx, spec.box, spec.e, UnitWeights(), p - spec.lam)
+        a = sums.monomial_sum_naive(spec)
+        b = sums.monomial_sum_naive(mirrored)
+        res = abs(b.value - a.value.conjugate())
+        tol = agreement_tolerance(a.terms)
+        out.add(res, res > tol and f"conjugation broken: p={p}, n={n}, h={h}, trial={trial}")
 
 
 def _random_spec_stream(grid: VerifyGrid, tag: int, trials: int):
@@ -445,54 +400,37 @@ def _random_spec_stream(grid: VerifyGrid, tag: int, trials: int):
 
 
 @check("cauchy-majorant")
-def _check_cauchy(grid: VerifyGrid, store) -> CheckResult:
-    failures, count, worst = [], 0, 0.0
+def _check_cauchy(grid: VerifyGrid, store, out: CheckResult) -> None:
     for trial, ctx, spec, rng in _random_spec_stream(grid, 40_000, CAUCHY_TRIALS):
         naive = sums.monomial_sum_naive(spec)
-        maj = sums.cauchy_majorant(spec)
-        count += 1
         tol = agreement_tolerance(naive.terms)
-        slack = abs(naive.value) - maj
-        worst = max(worst, slack)
-        if slack > tol:
-            failures.append(f"majorant below |S| at trial {trial}, p={ctx.p}")
-    return CheckResult("cauchy-majorant", count, worst, failures)
+        slack = abs(naive.value) - sums.cauchy_majorant(spec)
+        out.add(slack, slack > tol and f"majorant below |S| at trial {trial}, p={ctx.p}")
 
 
 @check("holder-majorant")
-def _check_holder(grid: VerifyGrid, store) -> CheckResult:
-    failures, count, worst = [], 0, 0.0
+def _check_holder(grid: VerifyGrid, store, out: CheckResult) -> None:
     for trial, ctx, spec, rng in _random_spec_stream(grid, 50_000, HOLDER_TRIALS):
         chi = MultChar(ctx, int(rng.integers(1, ctx.p - 1)))
         naive = sums.character_sum_naive(spec, chi)
         tol = agreement_tolerance(naive.terms)
         for r in (1, 2, 3):
-            maj = sums.holder_majorant(spec, chi, r)
-            count += 1
-            slack = abs(naive.value) - maj
-            worst = max(worst, slack)
-            if slack > tol:
-                failures.append(f"majorant below |T| at trial {trial}, p={ctx.p}, r={r}")
-    return CheckResult("holder-majorant", count, worst, failures)
+            slack = abs(naive.value) - sums.holder_majorant(spec, chi, r)
+            out.add(slack, slack > tol and f"majorant below |T| at trial {trial}, p={ctx.p}, r={r}")
 
 
 @check("kloosterman-specialization")
-def _check_kloosterman(grid: VerifyGrid, store) -> CheckResult:
-    failures, count = [], 0
-    for p in grid.primes:
+def _check_kloosterman(grid: VerifyGrid, store, out: CheckResult) -> None:
+    for p, n, h in _iter_cells(grid):
         ctx = _ctx(p)
-        for n in grid.ns:
-            for h in grid.hs_for(p):
-                rng = substream(grid.seed, p, n, h, 60_000)
-                box = Box(tuple(int(v) for v in rng.integers(0, p, size=n)), h)
-                lam = draw_coprime_lambda(rng, p)
-                viaK = sums.kloosterman_sum(ctx, box, lam, (0,) * n)
-                spec = SumSpec(ctx, box, ExponentVector((-1,) * n), UnitWeights(), lam)
-                viaS = sums.monomial_sum_naive(spec)
-                count += 1
-                if viaK.value != viaS.value or viaK.terms != viaS.terms:
-                    failures.append(f"specialization broken: p={p}, n={n}, h={h}")
-    return CheckResult("kloosterman-specialization", count, 0.0, failures)
+        rng = substream(grid.seed, p, n, h, 60_000)
+        box = Box(tuple(int(v) for v in rng.integers(0, p, size=n)), h)
+        lam = draw_coprime_lambda(rng, p)
+        viaK = sums.kloosterman_sum(ctx, box, lam, (0,) * n)
+        spec = SumSpec(ctx, box, ExponentVector((-1,) * n), UnitWeights(), lam)
+        viaS = sums.monomial_sum_naive(spec)
+        broken = viaK.value != viaS.value or viaK.terms != viaS.terms
+        out.add(0.0, broken and f"specialization broken: p={p}, n={n}, h={h}")
 
 
 # ---------------------------------------------------------------------- counts
@@ -501,60 +439,49 @@ _COUNT_PRIMES = (5, 7, 11, 13, 31)
 
 
 @check("count-identity")
-def _check_count_identity(grid: VerifyGrid, store) -> CheckResult:
-    failures, count, worst = [], 0, 0.0
+def _check_count_identity(grid: VerifyGrid, store, out: CheckResult) -> None:
     for p in _COUNT_PRIMES:
         ctx = _ctx(p)
         for nu in (1, 2, 3):
-            for h in range(3, 9):
-                if h >= p:
-                    continue
+            for h in range(3, min(9, p)):
                 for k in (0, 1, -1, p // 2):
                     brute = counts.count_product_pairs_brute(ctx, nu, h, k).value
                     spectral = counts.count_product_pairs_spectral(ctx, nu, h, k)
-                    count += 1
-                    if spectral.value != brute:
-                        failures.append(f"identity broken: p={p}, nu={nu}, h={h}, k={k}")
-    return CheckResult("count-identity", count, worst, failures)
+                    out.add(0.0, spectral.value != brute and f"identity broken: p={p}, nu={nu}, h={h}, k={k}")
+
+
+def _count_groups():
+    """(ctx, nu, k, hs) per group of the count checks' grid; h runs inside a group."""
+    for p in _COUNT_PRIMES:
+        ctx = _ctx(p)
+        for nu in (1, 2, 3):
+            for k in (0, 1, -1, p // 2):
+                yield ctx, nu, k, range(1, min(9, p))
 
 
 @check("count-monotone-h")
-def _check_count_monotone(grid: VerifyGrid, store) -> CheckResult:
-    failures, count = [], 0
-    for p in _COUNT_PRIMES:
-        ctx = _ctx(p)
-        for nu in (1, 2, 3):
-            for k in (0, 1, -1, p // 2):
-                prev = -1
-                for h in range(1, min(9, p)):
-                    v = counts.count_product_pairs_brute(ctx, nu, h, k).value
-                    count += 1
-                    if v < prev:
-                        failures.append(f"count decreased: p={p}, nu={nu}, k={k}, h={h}")
-                    prev = v
-    return CheckResult("count-monotone-h", count, 0.0, failures)
+def _check_count_monotone(grid: VerifyGrid, store, out: CheckResult) -> None:
+    for ctx, nu, k, hs in _count_groups():
+        prev = -1
+        for h in hs:
+            v = counts.count_product_pairs_brute(ctx, nu, h, k).value
+            out.add(0.0, v < prev and f"count decreased: p={ctx.p}, nu={nu}, k={k}, h={h}")
+            prev = v
 
 
 @check("count-diagonal-lower")
-def _check_count_diagonal(grid: VerifyGrid, store) -> CheckResult:
-    failures, count = [], 0
-    for p in _COUNT_PRIMES:
-        ctx = _ctx(p)
-        for nu in (1, 2, 3):
-            for k in (0, 1, -1, p // 2):
-                for h in range(1, min(9, p)):
-                    v = counts.count_product_pairs_brute(ctx, nu, h, k).value
-                    delta = 1 if any((x + k) % p == 0 for x in range(1, h + 1)) else 0
-                    count += 1
-                    if v < (h - delta) ** nu:
-                        failures.append(f"diagonal bound broken: p={p}, nu={nu}, k={k}, h={h}")
-    return CheckResult("count-diagonal-lower", count, 0.0, failures)
+def _check_count_diagonal(grid: VerifyGrid, store, out: CheckResult) -> None:
+    for ctx, nu, k, hs in _count_groups():
+        p = ctx.p
+        for h in hs:
+            v = counts.count_product_pairs_brute(ctx, nu, h, k).value
+            delta = 1 if any((x + k) % p == 0 for x in range(1, h + 1)) else 0
+            out.add(0.0, v < (h - delta) ** nu and f"diagonal bound broken: p={p}, nu={nu}, k={k}, h={h}")
 
 
 @check("product-inequality-gcd")
-def _check_product_inequality(grid: VerifyGrid, store) -> CheckResult:
-    failures, count = [], 0
-    plain_violations = []
+def _check_product_inequality(grid: VerifyGrid, store, out: CheckResult) -> None:
+    plain_violations = 0
     pool = [e for e in range(-3, 4) if e != 0]
     for p in (5, 7, 11, 13):
         ctx = _ctx(p)
@@ -568,15 +495,10 @@ def _check_product_inequality(grid: VerifyGrid, store) -> CheckResult:
                 for k in itertools.product((0, 1), repeat=2):
                     i_counts = [plain[side] for side in zip(h, k)]
                     rep = counts.product_inequality_report(ctx, ExponentVector(e), h, k, i_counts)
-                    count += 1
-                    if not rep.holds_gcd:
-                        failures.append(f"gcd form broken: p={p}, e={e}, h={h}, k={k}")
-                    if not rep.holds_plain:
-                        plain_violations.append(f"p={p}, e={e}, h={h}, k={k}")
-    notes = ""
+                    out.add(0.0, not rep.holds_gcd and f"gcd form broken: p={p}, e={e}, h={h}, k={k}")
+                    plain_violations += not rep.holds_plain
     if plain_violations:
-        notes = f"plain-form findings (logged, not failed): {len(plain_violations)}"
-    return CheckResult("product-inequality-gcd", count, 0.0, failures, notes=notes)
+        out.notes = f"plain-form findings (logged, not failed): {plain_violations}"
 
 
 def count_growth_ratios(nu: int) -> list[float]:
@@ -584,9 +506,7 @@ def count_growth_ratios(nu: int) -> list[float]:
     ratios = []
     for p in _COUNT_PRIMES + (101,):
         ctx = _ctx(p)
-        for h in range(3, 9):
-            if h >= p:
-                continue
+        for h in range(3, min(9, p)):
             for k in (0, 1, -1):
                 v = counts.count_product_pairs_brute(ctx, nu, h, k).value
                 ratios.append(v / bounds.count_growth_majorant(nu, h, p))
@@ -594,42 +514,37 @@ def count_growth_ratios(nu: int) -> list[float]:
 
 
 @check("count-growth-regression")
-def _check_count_growth(grid: VerifyGrid, store) -> CheckResult:
-    failures, count = [], 0
-    per_nu = {}
+def _check_count_growth(grid: VerifyGrid, store, out: CheckResult) -> None:
+    notes = []
     for nu in (2, 3):
         ratios = count_growth_ratios(nu)
         best = max(ratios)
-        count += len(ratios)
-        per_nu[nu] = best
         key = f"count-growth/nu={nu}"
         cap = store.cap(key) if store is not None else None
-        if cap is not None and best > cap:
-            failures.append(
-                f"nu={nu}: ratio {best:.4f} exceeds 2x calibrated {store.constant(key):.4f}"
-            )
-    notes = "max ratios " + ", ".join(f"nu={k}: {v:.4f}" for k, v in per_nu.items())
+        over = cap is not None and best > cap
+        out.add(
+            best,
+            over and f"nu={nu}: ratio {best:.4f} exceeds 2x calibrated {store.constant(key):.4f}",
+            instances=len(ratios),
+        )
+        notes.append(f"nu={nu}: {best:.4f}")
+    out.notes = "max ratios " + ", ".join(notes)
     if store is None:
-        notes += " (no calibration store; record-only)"
-    return CheckResult("count-growth-regression", count, max(per_nu.values()), failures, notes=notes)
+        out.notes += " (no calibration store; record-only)"
 
 
 @check("count-almost-all-probe")
-def _check_count_almost_all(grid: VerifyGrid, store) -> CheckResult:
+def _check_count_almost_all(grid: VerifyGrid, store, out: CheckResult) -> None:
     nu, h, k = 2, 6, 0
     lines = []
-    count = 0
-    worst = 0.0
     for t in (500, 2000):
         ratios = [row.ratio for row in counts.almost_all_rows(nu, h, k, t // 2, t)]
-        count += len(ratios)
-        worst = max(worst, max(ratios))
+        out.add(max(ratios), instances=len(ratios))
         for c in (0.5, 1.0, 2.0, 4.0):
             frac = sum(r > c for r in ratios) / len(ratios)
             lines.append(f"T={t}, C={c}: violation fraction {frac:.4f}")
-    return CheckResult(
-        "count-almost-all-probe", count, worst, [], report_only=True, notes="; ".join(lines)
-    )
+    out.report_only = True
+    out.notes = "; ".join(lines)
 
 
 # ---------------------------------------------------------------------- bounds
@@ -642,27 +557,35 @@ def _log_grid(p: int) -> list[int]:
     return [h for h in hs if 1 <= h < p]
 
 
-@check("bound-monotone-h")
-def _check_bound_monotone(grid: VerifyGrid, store) -> CheckResult:
-    failures, count = [], 0
+def _bound_groups():
+    """(selector, n, p) per group of the bound checks' grid: every tabled family and dimension."""
     for selector, dims in bounds.DIMS.items():
         for n in dims:
             for p in _BOUND_PRIMES:
-                prev = None
-                for h in _log_grid(p):
-                    try:
-                        v = bounds.bound_value(selector, n, h, p, r=2).value
-                    except OutOfRangeError:
-                        continue
-                    count += 1
-                    if prev is not None and v < prev * (1 - 1e-12):
-                        failures.append(f"{selector}, n={n}, p={p}, h={h}: bound decreased")
-                    prev = v
-    return CheckResult("bound-monotone-h", count, 0.0, failures)
+                yield selector, n, p
+
+
+def _bound_values(selector: str, n: int, p: int, hs: Iterable[int]):
+    """(h, bound) for each h of hs inside the family's range."""
+    for h in hs:
+        try:
+            yield h, bounds.bound_value(selector, n, h, p, r=2).value
+        except OutOfRangeError:
+            continue
+
+
+@check("bound-monotone-h")
+def _check_bound_monotone(grid: VerifyGrid, store, out: CheckResult) -> None:
+    for selector, n, p in _bound_groups():
+        prev = None
+        for h, v in _bound_values(selector, n, p, _log_grid(p)):
+            decreased = prev is not None and v < prev * (1 - 1e-12)
+            out.add(0.0, decreased and f"{selector}, n={n}, p={p}, h={h}: bound decreased")
+            prev = v
 
 
 @check("bound-nontrivial-range")
-def _check_bound_nontrivial(grid: VerifyGrid, store) -> CheckResult:
+def _check_bound_nontrivial(grid: VerifyGrid, store, out: CheckResult) -> None:
     """Above the nontriviality threshold the bound must undercut h^n.
 
     With a calibration store, the stored max ratio per (selector, n) is the
@@ -670,37 +593,22 @@ def _check_bound_nontrivial(grid: VerifyGrid, store) -> CheckResult:
     claim is asymptotic and fails at desk scale (term sums slightly above
     h^n near the threshold), so bare-constant exceptions are findings only.
     """
-    failures, count = [], 0
     raw_findings = 0
-    for selector, dims in bounds.DIMS.items():
-        for n in dims:
-            alpha = bounds.nontrivial_threshold(selector, n)
-            stored = store.constant(f"{selector}/n={n}") if store is not None else None
-            constant = 1.0 if stored is None else stored
-            for p in _BOUND_PRIMES:
-                lo = p ** (alpha + 0.05)
-                for h in _log_grid(p):
-                    if h < lo:
-                        continue
-                    try:
-                        v = bounds.bound_value(selector, n, h, p, r=2).value
-                    except OutOfRangeError:
-                        continue
-                    count += 1
-                    if not constant * v < float(h) ** n:
-                        if stored is not None:
-                            failures.append(f"{selector}, n={n}, p={p}, h={h}: bound >= h^n")
-                        else:
-                            raw_findings += 1
-    notes = ""
+    for selector, n, p in _bound_groups():
+        stored = store.constant(f"{selector}/n={n}") if store is not None else None
+        constant = 1.0 if stored is None else stored
+        lo = p ** (bounds.nontrivial_threshold(selector, n) + 0.05)
+        for h, v in _bound_values(selector, n, p, [h for h in _log_grid(p) if h >= lo]):
+            broken = not constant * v < float(h) ** n
+            hard = broken and stored is not None
+            out.add(0.0, hard and f"{selector}, n={n}, p={p}, h={h}: bound >= h^n")
+            raw_findings += broken and stored is None
     if raw_findings:
-        notes = f"constant-1 exceptions near threshold (findings): {raw_findings}"
-    return CheckResult("bound-nontrivial-range", count, 0.0, failures, notes=notes)
+        out.notes = f"constant-1 exceptions near threshold (findings): {raw_findings}"
 
 
 @check("bound-middle-term")
-def _check_bound_middle(grid: VerifyGrid, store) -> CheckResult:
-    failures, count = [], 0
+def _check_bound_middle(grid: VerifyGrid, store, out: CheckResult) -> None:
     for p in _BOUND_PRIMES:
         for h in _log_grid(p):
             # Dropped middle terms inside the squared every-prime bounds
@@ -712,10 +620,8 @@ def _check_bound_middle(grid: VerifyGrid, store) -> CheckResult:
             # Middle term of the almost-all bound for even n.
             cases.extend(bounds.almost_all_terms(n, h, p) for n in (2, 4, 6))
             for first, middle, last in cases:
-                count += 1
-                if middle > max(first, last) * (1 + 1e-12):
-                    failures.append(f"middle term dominates at p={p}, h={h}")
-    return CheckResult("bound-middle-term", count, 0.0, failures)
+                dominates = middle > max(first, last) * (1 + 1e-12)
+                out.add(0.0, dominates and f"middle term dominates at p={p}, h={h}")
 
 
 # ---------------------------------------------------------------------- runner
@@ -738,14 +644,10 @@ def grid_from_config(config) -> VerifyGrid:
 def run_verify(config, store=None, emit=print) -> VerifyReport:
     """Run every registered invariant check over the configured grid."""
     config.validate("verify")
-    registered = set(CHECKS)
-    expected = set(EXPECTED_INVENTORY)
-    if registered != expected:
-        missing = sorted(expected - registered)
-        extra = sorted(registered - expected)
-        raise ConfigInvalidError(
-            f"check inventory mismatch: missing={missing}, unexpected={extra}"
-        )
+    missing = sorted(set(EXPECTED_INVENTORY) - set(CHECKS))
+    extra = sorted(set(CHECKS) - set(EXPECTED_INVENTORY))
+    if missing or extra:
+        raise ConfigInvalidError(f"check inventory mismatch: missing={missing}, unexpected={extra}")
     grid = grid_from_config(config)
     results = []
     for name in EXPECTED_INVENTORY:

@@ -13,6 +13,7 @@ from boxsums.characters import (
     char_interval_sum,
     char_moment,
     char_power,
+    spectrum_direct,
 )
 from boxsums.errors import LambdaDivisibleError, PrincipalCharacterError
 from boxsums.modular import build_context
@@ -145,20 +146,15 @@ class TestSpectrum:
         rng = np.random.default_rng(1)
         vals = rng.normal(size=p) + 1j * rng.normal(size=p)
         dist = ResidueDistribution(ctx, vals)
-        direct = additive_spectrum(dist, "direct")
-        fast = additive_spectrum(dist, "fast")
-        assert np.array_equal(additive_spectrum(dist), fast)
+        direct = spectrum_direct(dist)
+        fast = additive_spectrum(dist)
+        assert np.array_equal(fast, characters._spectrum_fast(dist))
         scale = 1.0 + np.abs(direct).max()
         assert np.abs(direct - fast).max() / scale < 1e-8
 
     def test_wrong_length_rejected(self, ctx7):
         with pytest.raises(ValueError):
             ResidueDistribution(ctx7, np.zeros(6, dtype=complex))
-
-    def test_unknown_method(self, ctx7):
-        dist = ResidueDistribution(ctx7, np.zeros(7, dtype=complex))
-        with pytest.raises(ValueError):
-            additive_spectrum(dist, "bogus")
 
 
 def _fft_calls(monkeypatch) -> list:
@@ -221,12 +217,6 @@ class TestSpectrumAt:
         dist = self._dist(101, 101)
         got = additive_spectrum(dist, at=np.array([-1, 103, 101 * 2**40 + 5]))
         assert np.abs(got - additive_spectrum(dist)[[100, 2, 5]]).max() < 1e-9
-
-    @pytest.mark.parametrize("method", ["direct", "fast"])
-    def test_named_method_gathers_its_own_spectrum(self, method):
-        dist = self._dist(31, 3)
-        at = np.array([0, 5, 5, 30])
-        assert np.array_equal(additive_spectrum(dist, method, at=at), additive_spectrum(dist, method)[at])
 
     def test_direct_branch_memory_stays_blocked(self, monkeypatch):
         # Just under the crossover, an unblocked (frequency, point) table needs about 40 MB.
