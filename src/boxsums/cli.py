@@ -10,9 +10,9 @@ import argparse
 import json
 import sys
 
-from . import bounds, counts, sums
+from . import counts, sums
 from .characters import MultChar
-from .config import KEYS, ExperimentConfig, apply_key, load_config
+from .config import KEYS, MODES, ExperimentConfig, apply_key, load_config
 from .errors import BoxsumsError, ConfigInvalidError, NotPrimeError, TooLargeError
 from .harness import (
     CALIBRATION_TRIALS,
@@ -26,7 +26,6 @@ from .harness import (
     write_records_json,
 )
 from .modular import ExponentVector, build_context
-from .sampling import WEIGHT_KINDS
 from .sums import Box, PhaseWeights, SumSpec, TableWeights, UnitWeights
 from .verify import DEFAULT_PRIMES, run_verify
 
@@ -43,58 +42,34 @@ def _int_list(raw: str) -> list[int]:
         raise ConfigInvalidError(f"expected comma-separated integers, got {raw!r}") from exc
 
 
-_COMMON_FLAGS = {
-    "config": dict(help="path to a key = value config file"),
-    "seed": dict(help="64-bit seed for randomized modes"),
-    "out": dict(help="output file path"),
-    "format": dict(choices=("csv", "json"), help="output format"),
-    "calibration": dict(help="path to the calibration store"),
+_RUN_HELP = {
+    "verify": "run the invariant suite",
+    "sweep": "ratio sweep against a bound family",
+    "prime-sweep": "per-prime count ratios over a range",
+    "calibrate": "record max observed ratios",
 }
 
 
-def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
-    """Register the common flags a run mode reads; argparse rejects the others."""
-    for name in names:
-        parser.add_argument(f"--{name}", **_COMMON_FLAGS[name])
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """Flags of the run modes (verify, sweep, prime-sweep, calibrate) take their
-    dest from config.KEYS and their values as text, parsed as the file's are."""
+    """Each run mode takes --config, --calibration if it uses the store, and one flag of
+    one or more words per key it reads. Abbreviations are off: --n is not taken for --nu."""
     parser = argparse.ArgumentParser(
         prog="boxsums",
         description="Exponential/character sums over short boxes mod p: "
         "evaluation, counting, and empirical bound verification.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
+    for mode in MODES:
+        p_run = sub.add_parser(mode, help=_RUN_HELP[mode], allow_abbrev=False)
+        p_run.add_argument("--config", help="path to a key = value config file")
+        if mode != "sweep":  # the other run modes read or write a calibration store
+            p_run.add_argument("--calibration", help="path to the calibration store")
+        for key, (_, _, modes) in KEYS.items():
+            if mode in modes:
+                flag = "--range" if key == "prime_range" else f"--{key}"
+                p_run.add_argument(flag, dest=key, nargs="+", action="append", help=f"the {key} key")
 
-    p_verify = sub.add_parser("verify", help="run the invariant suite")
-    _add_common(p_verify, "config", "seed", "calibration")
-    p_verify.add_argument("--prime", action="append", help="grid prime (repeatable)")
-    p_verify.add_argument("--trials", help="seeded trials per cell")
-
-    p_sweep = sub.add_parser("sweep", help="ratio sweep against a bound family")
-    _add_common(p_sweep, "config", "seed", "out", "format")
-    p_sweep.add_argument("--prime", action="append")
-    p_sweep.add_argument("--bound", action="append", choices=bounds.SELECTORS)
-    p_sweep.add_argument("--n", action="append")
-    p_sweep.add_argument("--h", action="append")
-    p_sweep.add_argument("--trials")
-    p_sweep.add_argument("--weights", choices=WEIGHT_KINDS)
-    p_sweep.add_argument("--r", help="moment order for moment bounds")
-
-    p_ps = sub.add_parser("prime-sweep", help="per-prime count ratios over a range")
-    _add_common(p_ps, "config", "out", "format", "calibration")
-    p_ps.add_argument("--range", dest="prime_range", nargs=2, metavar=("LO", "HI"))
-    p_ps.add_argument("--nu")
-    p_ps.add_argument("--h")
-    p_ps.add_argument("--k")
-
-    p_cal = sub.add_parser("calibrate", help="record max observed ratios")
-    _add_common(p_cal, "config", "seed", "calibration")
-    p_cal.add_argument("--trials")
-
-    # sum and count read none of the common flags, so they take none.
+    # sum and count are not run modes: they take no config file and no key flags.
     p_sum = sub.add_parser("sum", help="evaluate one sum instance")
     p_sum.add_argument("--p", type=int, required=True)
     p_sum.add_argument("--h", type=int, required=True)
@@ -128,15 +103,14 @@ def _mode_defaults(mode: str) -> ExperimentConfig:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """The mode's defaults, then the config file, then each given flag, which
-    replaces the file's value; the subcommand is the mode key's flag."""
+    """The mode's defaults, then the config file, then each given flag, whose
+    first use replaces the file's value and later uses extend it."""
     cfg = _mode_defaults(args.mode)
     if args.config:
         load_config(args.config, cfg)
     for key in KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            apply_key(cfg, key, " ".join(value) if isinstance(value, list) else value)
+        for i, words in enumerate(getattr(args, key, None) or ()):
+            apply_key(cfg, key, " ".join(words), extend=i > 0)
     return cfg
 
 

@@ -1,11 +1,11 @@
 """Experiment configuration: a line-oriented key = value format.
 
-KEYS is the one table of config keys: each names its ExperimentConfig field
-and the parser of its value text. Config-file lines and CLI flags both set a
-field through apply_key, and each flag's dest is its key's name (``--range``
-is ``prime_range``), so a flag replaces the file's value. In a file, repeated
-keys form lists; keys are case-sensitive; unknown keys are hard errors.
-ExperimentConfig.validate is the one check of a config, for the mode it runs as.
+KEYS is the one table of config keys: each names its ExperimentConfig field,
+the parser of its value text and the run modes that read it. File lines and
+the CLI flags generated from KEYS both set a field through apply_key. In a
+file, repeated keys form lists; keys are case-sensitive; unknown keys and keys
+the config's mode does not read are hard errors. ExperimentConfig.validate is
+the one check of a config's values, for the mode it runs as.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .bounds import SELECTORS
 from .errors import ConfigInvalidError
 from .sampling import WEIGHT_KINDS
 
-MODES = ("verify", "sweep", "prime-sweep", "calibrate", "sum", "count")
+MODES = ("verify", "sweep", "prime-sweep", "calibrate")
 
 # Modes that draw random instances and therefore require a seed.
 _RANDOMIZED_MODES = ("sweep", "calibrate")
@@ -61,6 +61,8 @@ class ExperimentConfig:
                 raise ConfigInvalidError(f"{name} must be >= 1")
         if any(h < 1 for h in self.h):
             raise ConfigInvalidError("side lengths h must be >= 1")
+        if not self.exponent_pool:
+            raise ConfigInvalidError("exponent pool must not be empty")
         if any(v == 0 for v in self.exponent_pool):
             raise ConfigInvalidError("exponent pool must not contain 0")
         for sel in self.bounds:
@@ -93,31 +95,31 @@ def _pair(text: str) -> tuple[int, int]:
     return values[0], values[1]
 
 
-# Config key -> (ExperimentConfig field, parser of the value text).
+# Config key -> (ExperimentConfig field, parser of the value text, run modes that read it).
 KEYS = {
-    "mode": ("mode", str),
-    "prime": ("primes", _ints),
-    "prime_range": ("prime_range", _pair),
-    "n": ("n", _ints),
-    "h": ("h", _ints),
-    "e": ("exponent_pool", _ints),
-    "weights": ("weights", str),
-    "lambda": ("lambda_value", int),  # also fixes lambda_policy
-    "trials": ("trials", int),
-    "seed": ("seed", int),
-    "bound": ("bounds", str.split),
-    "nu": ("nu", int),
-    "k": ("k", int),
-    "r": ("r", int),
-    "out": ("out", str),
-    "format": ("format", str),
+    # calibrate passes its primes to its verify gate.
+    "prime": ("primes", _ints, ("verify", "sweep", "calibrate")),
+    "prime_range": ("prime_range", _pair, ("prime-sweep",)),
+    "n": ("n", _ints, ("verify", "sweep")),
+    "h": ("h", _ints, ("verify", "sweep", "prime-sweep")),
+    "e": ("exponent_pool", _ints, ("verify", "sweep", "calibrate")),
+    "weights": ("weights", str, ("sweep", "calibrate")),
+    "lambda": ("lambda_value", int, ("sweep",)),  # also fixes lambda_policy
+    "trials": ("trials", int, ("verify", "sweep", "calibrate")),
+    "seed": ("seed", int, ("verify", "sweep", "calibrate")),
+    "bound": ("bounds", str.split, ("sweep",)),
+    "nu": ("nu", int, ("prime-sweep",)),
+    "k": ("k", int, ("prime-sweep",)),
+    "r": ("r", int, ("sweep", "calibrate")),
+    "out": ("out", str, ("sweep", "prime-sweep")),
+    "format": ("format", str, ("sweep", "prime-sweep")),
 }
 
 
 def apply_key(cfg: ExperimentConfig, key: str, text: str, extend: bool = False) -> None:
     """Set key's field from its value text; with extend, a list value is
     appended to the field's list instead of replacing it."""
-    name, parse = KEYS[key]
+    name, parse, _ = KEYS[key]
     try:
         value = parse(text)
     except ValueError as exc:
@@ -144,6 +146,8 @@ def parse_config_text(text: str, cfg: ExperimentConfig | None = None) -> Experim
             raise ConfigInvalidError(f"line {lineno}: expected 'key = value'")
         if key not in KEYS:
             raise ConfigInvalidError(f"line {lineno}: unknown key {key!r}")
+        if cfg.mode not in KEYS[key][2]:
+            raise ConfigInvalidError(f"line {lineno}: {cfg.mode} does not read key {key!r}")
         apply_key(cfg, key, value.strip(), extend=key in seen)
         seen.add(key)
     return cfg

@@ -155,7 +155,9 @@ def _run_trial(
     h: int,
     trial: int,
     config: ExperimentConfig,
-) -> RatioRecord | None:
+    bv: bounds.BoundValue,
+    bound_ns: int,
+) -> RatioRecord:
     p = ctx.p
     rng = substream(config.seed, p, n, h, trial)
     fixed = config.lambda_policy == "fixed"
@@ -180,11 +182,6 @@ def _run_trial(
     else:
         result = sums.monomial_sum_bilinear(spec)
     t1 = time.perf_counter_ns()
-    try:
-        bv = bounds.bound_value(selector, n, h, p, r=config.r)
-    except OutOfRangeError:
-        return None
-    t2 = time.perf_counter_ns()
     abs_sum = abs(result.value)
     # Independent re-check of the trivial bound at emission time.
     if abs_sum > float(h) ** n * (1 + 1e-9):
@@ -206,7 +203,7 @@ def _run_trial(
         branch=bv.branch,
         trial=trial,
         eval_ns=t1 - t0,
-        bound_ns=t2 - t1,
+        bound_ns=bound_ns,
     )
 
 
@@ -234,7 +231,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     selectors = config.bounds or [bounds.S_ALL]
 
     warnings: list[str] = []
-    cells: list[tuple[str, int, int, int]] = []
+    cells: list[tuple[str, int, int, int, bounds.BoundValue, int]] = []
     for selector in selectors:
         dims = config.n or _SWEEP_DIMS[selector]
         for n in dims:
@@ -250,21 +247,27 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                     if float(h) ** n > _MAX_CELL_TUPLES:
                         warnings.append(f"skipping cell p={p}, n={n}, h={h}: too large")
                         continue
-                    cells.append((selector, n, p, h))
+                    t0 = time.perf_counter_ns()
+                    try:
+                        bv = bounds.bound_value(selector, n, h, p, r=config.r)
+                    except OutOfRangeError:
+                        warnings.append(
+                            f"skipping cell p={p}, n={n}, h={h}: below the {selector} bound's range"
+                        )
+                        continue
+                    cells.append((selector, n, p, h, bv, time.perf_counter_ns() - t0))
 
     contexts = {p: build_context(p) for p in sorted({c[2] for c in cells})}
     records: list[RatioRecord] = []
     summaries: list[CellSummary] = []
-    for selector, n, p, h in cells:
+    for selector, n, p, h, bv, bound_ns in cells:
         ratios = []
         for trial in range(config.trials):
-            rec = _run_trial(selector, contexts[p], n, h, trial, config)
-            if rec is not None:
-                records.append(rec)
-                ratios.append(rec.ratio)
-        if ratios:
-            mean = sum(ratios) / len(ratios)
-            summaries.append(CellSummary(selector, p, n, h, max(ratios), mean, len(ratios)))
+            rec = _run_trial(selector, contexts[p], n, h, trial, config, bv, bound_ns)
+            records.append(rec)
+            ratios.append(rec.ratio)
+        mean = sum(ratios) / len(ratios)
+        summaries.append(CellSummary(selector, p, n, h, max(ratios), mean, len(ratios)))
     records.sort(key=lambda r: (r.selector, r.n, r.p, r.h, r.trial))
     return SweepResult(records=records, summaries=summaries, warnings=warnings)
 

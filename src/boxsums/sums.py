@@ -166,9 +166,8 @@ def _flatten_slice(spec: SumSpec, lo: int, hi: int) -> tuple[np.ndarray, np.ndar
 
 
 def _terms(spec: SumSpec) -> int:
-    """Tuples of the box with no coordinate 0 mod p (a side h < p holds <= 1 multiple)."""
-    p, h = spec.ctx.p, spec.box.h
-    return math.prod(h - ((k_j + h) // p - k_j // p) for k_j in spec.box.k)
+    """Tuples of the box with no coordinate 0 mod p."""
+    return math.prod(len(pv) for pv, _ in spec.coordinates)
 
 
 def monomial_value_distribution(spec: SumSpec, lo: int = 0, hi: int | None = None) -> ResidueDistribution:

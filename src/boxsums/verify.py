@@ -636,8 +636,7 @@ def grid_from_config(config) -> VerifyGrid:
         grid.hs = tuple(config.h)
     grid.trials = config.trials
     grid.seed = config.seed if config.seed is not None else 0
-    if config.exponent_pool:
-        grid.exponent_pool = tuple(config.exponent_pool)
+    grid.exponent_pool = tuple(config.exponent_pool)
     return grid
 
 

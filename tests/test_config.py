@@ -1,3 +1,5 @@
+import argparse
+
 import pytest
 
 from boxsums import cli
@@ -9,15 +11,14 @@ class TestParse:
     def test_basic_fields(self):
         cfg = parse_config_text(
             """
-            mode = sweep
             prime = 101 1009
             n = 4
             seed = 7
             bound = s-all
             format = json
-            """
+            """,
+            ExperimentConfig(mode="sweep"),
         )
-        assert cfg.mode == "sweep"
         assert cfg.primes == [101, 1009]
         assert cfg.n == [4]
         assert cfg.seed == 7
@@ -53,19 +54,19 @@ class TestParse:
             parse_config_text("seed = abc\n")
 
     def test_lambda_implies_fixed_policy(self):
-        cfg = parse_config_text("lambda = 3\n")
+        cfg = parse_config_text("lambda = 3\n", ExperimentConfig(mode="sweep"))
         assert cfg.lambda_policy == "fixed"
         assert cfg.lambda_value == 3
 
     def test_prime_range(self):
-        cfg = parse_config_text("prime_range = 100 500\n")
+        cfg = parse_config_text("prime_range = 100 500\n", ExperimentConfig(mode="prime-sweep"))
         assert cfg.prime_range == (100, 500)
         with pytest.raises(ConfigInvalidError):
-            parse_config_text("prime_range = 100\n")
+            parse_config_text("prime_range = 100\n", ExperimentConfig(mode="prime-sweep"))
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        path.write_text("mode = verify\nprime = 5 7\n", encoding="utf-8")
+        path.write_text("prime = 5 7\n", encoding="utf-8")
         cfg = load_config(str(path))
         assert cfg.mode == "verify"
         assert cfg.primes == [5, 7]
@@ -146,30 +147,40 @@ class TestValidate:
             cfg.validate()
 
 
-# Each key: (subcommand, file value, the matching flags or None, parsed field value).
+# Each key: (file value, the matching flags, parsed field value).
 _KEY_CASES = {
-    "mode": ("sweep", "sweep", [], "sweep"),
-    "prime": ("sweep", "11 13", ["--prime", "11", "--prime", "13"], [11, 13]),
-    "prime_range": ("prime-sweep", "100 150", ["--range", "100", "150"], (100, 150)),
-    "n": ("sweep", "3 4", ["--n", "3", "--n", "4"], [3, 4]),
-    "h": ("sweep", "3 5", ["--h", "3", "--h", "5"], [3, 5]),
-    "e": ("sweep", "-1 1", None, [-1, 1]),
-    "weights": ("sweep", "phase", ["--weights", "phase"], "phase"),
-    "lambda": ("sweep", "3", None, 3),
-    "trials": ("calibrate", "7", ["--trials", "7"], 7),
-    "seed": ("sweep", "9", ["--seed", "9"], 9),
-    "bound": (
-        "sweep",
-        "s-all t-moment",
-        ["--bound", "s-all", "--bound", "t-moment"],
-        ["s-all", "t-moment"],
-    ),
-    "nu": ("prime-sweep", "3", ["--nu", "3"], 3),
-    "k": ("prime-sweep", "-4", ["--k=-4"], -4),
-    "r": ("sweep", "3", ["--r", "3"], 3),
-    "out": ("sweep", "ratios.csv", ["--out", "ratios.csv"], "ratios.csv"),
-    "format": ("sweep", "json", ["--format", "json"], "json"),
+    "prime": ("11 13", ["--prime", "11", "--prime", "13"], [11, 13]),
+    "prime_range": ("100 150", ["--range", "100", "150"], (100, 150)),
+    "n": ("3 4", ["--n", "3", "4"], [3, 4]),
+    "h": ("3 5", ["--h", "3", "--h", "5"], [3, 5]),
+    "e": ("-1 1", ["--e", "-1", "1"], [-1, 1]),
+    "weights": ("phase", ["--weights", "phase"], "phase"),
+    "lambda": ("3", ["--lambda", "3"], 3),
+    "trials": ("7", ["--trials", "7"], 7),
+    "seed": ("9", ["--seed", "9"], 9),
+    "bound": ("s-all t-moment", ["--bound", "s-all", "--bound", "t-moment"], ["s-all", "t-moment"]),
+    "nu": ("3", ["--nu", "3"], 3),
+    "k": ("-4", ["--k=-4"], -4),
+    "r": ("3", ["--r", "3"], 3),
+    "out": ("ratios.csv", ["--out", "ratios.csv"], "ratios.csv"),
+    "format": ("json", ["--format", "json"], "json"),
 }
+
+# Each run mode's flags, written out: --config, --calibration for the store
+# modes, and one flag per key the mode reads.
+_MODE_FLAGS = {
+    "verify": {"--config", "--calibration", "--prime", "--n", "--h", "--e", "--trials", "--seed"},
+    "sweep": {
+        "--config", "--prime", "--n", "--h", "--e", "--weights", "--lambda", "--trials", "--seed",
+        "--bound", "--r", "--out", "--format",
+    },
+    "prime-sweep": {"--config", "--calibration", "--range", "--h", "--nu", "--k", "--out", "--format"},
+    "calibrate": {"--config", "--calibration", "--prime", "--e", "--weights", "--trials", "--seed", "--r"},
+}
+
+
+def _flag(key: str) -> str:
+    return "--range" if key == "prime_range" else f"--{key}"
 
 
 def _cli_config(argv: list[str]) -> ExperimentConfig:
@@ -180,15 +191,39 @@ class TestKeyTable:
     def test_every_key_has_a_case(self):
         assert set(_KEY_CASES) == set(KEYS)
 
+    def test_each_mode_takes_its_flags(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for mode, flags in _MODE_FLAGS.items():
+            taken = {s for a in sub.choices[mode]._actions for s in a.option_strings}
+            assert taken - {"-h", "--help"} == flags, mode
+
     @pytest.mark.parametrize("key", sorted(_KEY_CASES))
     def test_file_line_and_flag_agree(self, key, tmp_path):
-        mode, text, flags, expected = _KEY_CASES[key]
+        text, flags, expected = _KEY_CASES[key]
         path = tmp_path / "exp.cfg"
         path.write_text(f"{key} = {text}\n", encoding="utf-8")
-        from_file = _cli_config([mode, "--config", str(path)])
-        assert getattr(from_file, KEYS[key][0]) == expected
-        if flags is not None:
-            assert _cli_config([mode] + flags) == from_file
+        modes = [mode for mode, taken in _MODE_FLAGS.items() if _flag(key) in taken]
+        assert modes, key
+        for mode in modes:
+            from_file = _cli_config([mode, "--config", str(path)])
+            assert getattr(from_file, KEYS[key][0]) == expected, mode
+            assert _cli_config([mode] + flags) == from_file, mode
+
+    @pytest.mark.parametrize(
+        "mode, key",
+        [(mode, key) for mode, taken in _MODE_FLAGS.items() for key in _KEY_CASES if _flag(key) not in taken],
+    )
+    def test_unread_key_refused(self, mode, key, tmp_path, capsys):
+        text, flags, _ = _KEY_CASES[key]
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"{key} = {text}\n", encoding="utf-8")
+        assert cli.main([mode, "--config", str(path)]) == 2
+        assert f"line 1: {mode} does not read key {key!r}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main([mode] + flags)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_flag_replaces_file_value(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -203,7 +238,10 @@ class TestKeyTable:
         assert _cli_config(["sweep"]).primes == [101, 1009]
         assert _cli_config(["sweep", "--config", str(path)]).primes == [5, 7]
 
-    def test_subcommand_sets_mode_over_file(self, tmp_path):
+    def test_subcommand_sets_mode_over_file(self, tmp_path, capsys):
+        # The subcommand is the mode; there is no mode key.
         path = tmp_path / "exp.cfg"
         path.write_text("mode = verify\n", encoding="utf-8")
-        assert _cli_config(["prime-sweep", "--config", str(path)]).mode == "prime-sweep"
+        assert _cli_config(["prime-sweep"]).mode == "prime-sweep"
+        assert cli.main(["prime-sweep", "--config", str(path)]) == 2
+        assert "line 1: unknown key 'mode'" in capsys.readouterr().err

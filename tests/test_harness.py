@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boxsums import cli, harness, sums
+from boxsums import bounds, cli, harness, sums
 from boxsums.config import ExperimentConfig
 from boxsums.counts import PrimeSweepRow
 from boxsums.errors import ConfigInvalidError, VerifyNotGreenError
@@ -103,6 +104,23 @@ class TestSweep:
         result = run_sweep(_sweep_config(primes=[5, 101], h=[7]))
         assert any("h >= p" in w for w in result.warnings)
         assert all(rec.p == 101 for rec in result.records)
+
+    def test_cell_below_bound_range_skipped_before_its_trials(self, monkeypatch):
+        calls = collections.Counter()
+        for module, name in ((bounds, "bound_value"), (sums, "character_sum_split")):
+
+            def counted(*args, fn=getattr(module, name), name=name, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        # At p = 1009, h = 5 lies below the t-moment n = 3 range h >= p^(1/4) ~ 5.64; h = 20 is inside it.
+        result = run_sweep(_sweep_config(primes=[1009], bounds=["t-moment"], n=[3], h=[5, 20], trials=3))
+        assert "skipping cell p=1009, n=3, h=5: below the t-moment bound's range" in result.warnings
+        assert [(rec.h, rec.trial) for rec in result.records] == [(20, 0), (20, 1), (20, 2)]
+        # One bound per cell, and no sum for the skipped cell.
+        assert calls == {"bound_value": 2, "character_sum_split": 3}
+        assert len({rec.bound_ns for rec in result.records}) == 1
 
     def test_unsupported_dimension_warned(self):
         result = run_sweep(_sweep_config(n=[3, 4]))
@@ -661,6 +679,14 @@ class TestCli:
         assert cli.main(argv.split()) == 2
         assert "fixed lambda" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "exp.cfg"]
+
+    def test_empty_exponent_pool_rejected(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "e.cfg").write_text("e =\n", encoding="utf-8")
+        for mode in ("verify", "sweep"):
+            assert cli.main([mode, "--config", "e.cfg", "--seed", "0"]) == 2, mode
+        assert capsys.readouterr().err.count("config error: exponent pool must not be empty") == 2
+        assert list(tmp_path.iterdir()) == [tmp_path / "e.cfg"]
 
     def test_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
