@@ -4,8 +4,10 @@ Includes the additive spectrum of a residue distribution (by FFT, or at
 given frequencies over its support where that is cheaper; the O(p^2)
 `spectrum_direct` is the reference the tests and the verify suite compare
 against) and the one kernel for dilated character sums sum_x w(x) chi(u*x + lam)
-and their moments, which reduces u, x and lam mod p; the interval and split
-sums all call it.
+and their moments; the interval and split sums all call it. It splits each term
+as chi(u*x + lam) = chi(x) chi(u + lam * x^{-1}) for x nonzero mod p, so with u
+and c_x = lam * x^{-1} reduced mod p a term is one addition u + c_x < 2p and one
+table lookup whose wrap is a single subtraction of p.
 """
 
 from __future__ import annotations
@@ -141,11 +143,20 @@ def _interval_weights(h: int, rho: Sequence[complex] | None) -> np.ndarray:
 
 
 def dilated_char_sums(chi: MultChar, u, x: np.ndarray, lam: int, w: np.ndarray) -> np.ndarray:
-    """sum_x w(x) * chi(u*x + lam) for each u of an integer or int64 array; u, x
-    and lam are reduced mod p first, so u*x + lam < p^2 < 2^62 in int64."""
-    p = chi.ctx.p
-    ux = np.outer(np.asarray(u % p, dtype=np.int64), x % p)
-    return chi.table()[(ux + lam % p) % p] @ w
+    """sum_x w(x) * chi(u*x + lam) for an integer u, or for each u of an int64 array.
+
+    Each point x nonzero mod p contributes w(x) chi(x) * chi(u + c_x) with
+    c_x = lam * x^{-1} mod p, since chi(u*x + lam) = chi(x) chi(u + lam * x^{-1}).
+    With u and c_x reduced mod p, u + c_x < 2p, so the wrapped gather reduces
+    each index by one subtraction; points x = 0 mod p contribute w(x) chi(lam).
+    """
+    p, table = chi.ctx.p, chi.table()
+    x, lam = np.asarray(x, dtype=np.int64) % p, lam % p
+    if not x.all():
+        zero = x == 0
+        return dilated_char_sums(chi, u, x[~zero], lam, w[~zero]) + w[zero].sum() * table[lam]
+    c = np.array([lam * pow(v, -1, p) % p for v in x.tolist()], dtype=np.int64)
+    return np.take(table, np.add.outer(np.asarray(u % p, dtype=np.int64), c), mode="wrap") @ (w * table[x])
 
 
 def dilated_moment(chi: MultChar, x: np.ndarray, lam: int, w: np.ndarray, r: int) -> float:
@@ -172,7 +183,7 @@ def char_interval_sum(
 ) -> complex:
     """sum_{x=k+1}^{k+h} rho(x) * chi(u*x + lam); chi(0) terms vanish."""
     x = interval_residues(k, h, chi.ctx.p)
-    return complex(dilated_char_sums(chi, u, x, lam, _interval_weights(h, rho))[0])
+    return complex(dilated_char_sums(chi, u, x, lam, _interval_weights(h, rho)))
 
 
 def char_moment(

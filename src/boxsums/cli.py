@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: verify, sweep, prime-sweep, calibrate, sum, count.
-Exit codes: 0 success, 1 property failure, 2 config error, 3 internal error.
+Exit codes: 0 success, 1 property failure, 2 config error, 3 internal error,
+141 (128 + SIGPIPE) stdout closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import counts, sums
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
+EXIT_BROKEN_PIPE = 128 + 13  # SIGPIPE
 
 
 def _int_list(raw: str) -> list[int]:
@@ -261,7 +264,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.mode](args)
+        rc = _COMMANDS[args.mode](args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull so the interpreter's final flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     # The package raises ValueError for out-of-range arguments, such as h >= p.
     except (ConfigInvalidError, NotPrimeError, TooLargeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -2,8 +2,11 @@
 
 Every sum excludes tuples with a coordinate congruent to 0 mod p.
 Each evaluator has a naive enumeration path plus a split path that
-factors the sum through a residue distribution; the split paths are
-cross-checked against the naive ones to within tau = 1e-9*(1+terms).
+factors the sum through partial monomial values; the split paths are
+cross-checked against the naive ones to within tau = 1e-9*(1+terms). The
+split character sum folds coordinates 0..n-2 in one at a time and merges the
+(value, mass) entries by residue (two weighted bincounts) only when they
+outnumber p, so at most p reach each fold and the contraction.
 A frozen `SumSpec` flattens its coordinates once, read-only, for every evaluator.
 """
 
@@ -232,16 +235,30 @@ def character_sum_naive(spec: SumSpec, chi: MultChar) -> SumResult:
     return SumResult(value=complex(wts @ cvals), terms=len(vals), method="naive")
 
 
+def _merged(u: np.ndarray, mass: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entries (u, mass) summed by residue u once they outnumber p, else as given."""
+    if len(u) <= p:
+        return u, mass
+    re, im = np.bincount(u, mass.real, p), np.bincount(u, mass.imag, p)
+    u = np.flatnonzero((re != 0) | (im != 0))
+    return u, re[u] + 1j * im[u]
+
+
 def character_sum_split(spec: SumSpec, chi: MultChar) -> SumResult:
-    """Evaluation through the leading (n-1)-coordinate distribution d0:
-    sum_u d0[u] * sum_x rho_n(x) chi(u * x^{e_n} + lam), with the inner sum
-    built only for u in the support of d0."""
+    """Evaluation through the leading n-1 coordinates:
+    sum_u mass(u) * sum_x rho_n(x) chi(u * x^{e_n} + lam), over the entries
+    (u, mass) of a fold that multiplies in one coordinate's values and weights
+    at a time and merges its entries by residue whenever they outnumber p."""
     if spec.n < 2:
         raise DimensionTooSmallError("split path needs n >= 2")
-    d0 = monomial_value_distribution(spec, 0, spec.n - 1)
-    pv, w = spec.coordinates[-1]
-    u = np.flatnonzero(d0.values)
-    value = complex(d0.values[u] @ dilated_char_sums(chi, u, pv, spec.lam, w))
+    p = spec.ctx.p
+    (u, mass), *rest, (pv, w) = spec.coordinates
+    for pv_j, w_j in rest:
+        u, mass = _merged(u, mass, p)
+        # The new coordinate varies slowest: long rows run faster than h-long ones.
+        u, mass = np.multiply.outer(pv_j, u).ravel() % p, np.multiply.outer(w_j, mass).ravel()
+    u, mass = _merged(u, mass, p)
+    value = complex(mass @ dilated_char_sums(chi, u, pv, spec.lam, w))
     return SumResult(value=value, terms=_terms(spec), method="split")
 
 

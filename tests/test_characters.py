@@ -13,6 +13,7 @@ from boxsums.characters import (
     char_interval_sum,
     char_moment,
     char_power,
+    dilated_char_sums,
     spectrum_direct,
 )
 from boxsums.errors import LambdaDivisibleError, PrincipalCharacterError
@@ -232,6 +233,57 @@ class TestSpectrumAt:
             tracemalloc.stop()
         assert calls == []
         assert peak < 16 * 2**20
+
+
+def _direct_dilated(chi, u, x, lam, w):
+    """The defining formula: chi(u*x + lam) gathered at every (u, x) pair."""
+    p = chi.ctx.p
+    return chi.table()[(np.multiply.outer(np.asarray(u, dtype=np.int64), x) + lam) % p] @ w
+
+
+def _kernel_weights(kind, x, p, rng):
+    if kind == "unit":
+        return np.ones(len(x), dtype=np.complex128)
+    if kind == "phase":
+        return np.exp(2j * np.pi * ((7 * x) % p) / p)
+    return rng.uniform(0, 1, len(x)) * np.exp(2j * np.pi * rng.uniform(0, 1, len(x)))
+
+
+class TestDilatedCharSums:
+    """The split kernel chi(x) * chi(u + lam * x^{-1}) against chi(u*x + lam) itself."""
+
+    @pytest.mark.parametrize("kind", ["unit", "phase", "table"])
+    @pytest.mark.parametrize("p", [5, 101, 10007])
+    def test_matches_direct_formula(self, p, kind):
+        ctx = build_context(p)
+        rng = np.random.default_rng(p)
+        h = min(p - 1, 40)
+        # Unreduced u, including 0, negatives and values >= p.
+        u = np.concatenate([np.arange(-3, 4), [p - 1, p, p + 1, 2 * p + 5, -p - 2]])
+        # Intervals with k < 0 around -p, around p, at k >= 2p, and one with no multiple of p.
+        starts = (-p - h // 2, p - h // 2, 2 * p + 3, -p)
+        assert [bool((np.arange(k + 1, k + h + 1) % p == 0).any()) for k in starts[:2]] == [True, True]
+        for a in (0, int(rng.integers(1, p - 1))):
+            chi = MultChar(ctx, a)
+            for k in starts:
+                x = np.arange(k + 1, k + h + 1, dtype=np.int64)
+                w = _kernel_weights(kind, x, p, rng)
+                tol = 1e-12 * max(1.0, float(np.abs(w).sum()))
+                for lam in (0, p, -p, 3, -7, 2 * p + 1):
+                    want = _direct_dilated(chi, u, x, lam, w)
+                    got = dilated_char_sums(chi, u, x, lam, w)
+                    assert got.shape == want.shape
+                    assert np.abs(got - want).max() <= tol, (a, k, lam)
+                    for ui, wi in zip(u.tolist(), want):
+                        assert abs(complex(dilated_char_sums(chi, ui, x, lam, w)) - wi) <= tol
+
+    def test_only_zero_points(self, ctx11):
+        # Every point is 0 mod p: each term is w(0) chi(lam), whatever u is.
+        chi = MultChar(ctx11, 3)
+        x, w = np.array([0, 11, -22]), np.array([0.5, 0.25j, -1.0])
+        got = dilated_char_sums(chi, np.arange(-2, 13), x, 4, w)
+        assert np.abs(got - w.sum() * chi(4)).max() < 1e-15
+        assert np.abs(dilated_char_sums(chi, np.arange(5), x, 0, w)).max() == 0
 
 
 class TestCharIntervalSum:

@@ -1,6 +1,9 @@
 import collections
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -800,3 +803,27 @@ class TestCli:
         )
         assert rc == 0
         assert out.read_text(encoding="utf-8").startswith("p,count,majorant,ratio\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prime-sweep", "--range", "100", "300", "--nu", "2", "--h", "6", "--k=-4"],
+            ["sum", "--p", "5", "--h", "2", "--e", "1,1", "--k", "0,0"],
+        ],
+        ids=["prime-sweep", "sum"],
+    )
+    def test_closed_stdout_exits_141_without_traceback(self, argv):
+        # The read end is closed before the child starts, so its first write to stdout fails.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "boxsums.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+        assert b"Traceback" not in proc.stderr

@@ -297,6 +297,64 @@ class TestSupportRestriction:
         self._assert_agree(spec, MultChar(ctx, 5))
 
 
+class TestSplitFold:
+    """character_sum_split folds coordinates 0..n-2 and merges its entries by
+    residue whenever they outnumber p, before each fold and before the contraction."""
+
+    # (n, h, outnumber): at p = 31, whether the entries outnumber p at each merge point.
+    CASES = [
+        (2, 5, [False]),
+        (2, 30, [False]),
+        (3, 5, [False, False]),
+        (3, 10, [False, True]),
+        (5, 2, [False, False, False, False]),
+        (5, 3, [False, False, False, True]),
+        (5, 6, [False, True, True, True]),
+    ]
+
+    @staticmethod
+    def _dense_contraction(spec, chi):
+        p = spec.ctx.p
+        d0 = monomial_value_distribution(spec, 0, spec.n - 1).values
+        pv, w = spec.coordinates[-1]
+        u = np.arange(p, dtype=np.int64)
+        return d0 @ (chi.table()[(np.outer(u, pv) + spec.lam) % p] @ w)
+
+    @pytest.mark.parametrize("n, h, outnumber", CASES)
+    def test_agrees_with_naive_and_dense(self, n, h, outnumber, monkeypatch):
+        from boxsums import sums
+
+        seen, merged = [], sums._merged
+
+        def spy(u, mass, p):
+            seen.append(len(u) > p)
+            out = merged(u, mass, p)
+            if len(u) > p:  # merged: distinct residues, so at most p entries
+                assert len(np.unique(out[0])) == len(out[0]) <= p
+            return out
+
+        monkeypatch.setattr(sums, "_merged", spy)
+        ctx = build_context(31)
+        k = (0,) * n if h == 30 else tuple(2 * j for j in range(n))
+        weights = (
+            UnitWeights(),
+            PhaseWeights([3 * j + 1 for j in range(n)]),
+            TableWeights([[0.6 + 0.8j if x % 3 else -0.5 for x in range(h)]] * n),
+        )
+        for trial, rho in enumerate(weights):
+            spec = _spec(ctx, k, h, (2, -1, 1, 3, -2)[:n], rho, lam=5 + trial)
+            for a in (0, 7, 15):
+                chi = MultChar(ctx, a)
+                seen.clear()
+                fast = character_sum_split(spec, chi)
+                assert seen == outnumber
+                naive = character_sum_naive(spec, chi)
+                assert fast.terms == naive.terms == h**n
+                tol = agreement_tolerance(naive.terms)
+                assert abs(fast.value - naive.value) < tol
+                assert abs(fast.value - self._dense_contraction(spec, chi)) < tol
+
+
 @pytest.fixture(scope="module")
 def ctx1009():
     return build_context(1009)
