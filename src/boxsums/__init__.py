@@ -22,7 +22,6 @@ from .characters import (
     additive_spectrum,
     char_interval_sum,
     char_moment,
-    char_power,
 )
 from .counts import (
     CountResult,

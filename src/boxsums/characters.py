@@ -1,19 +1,20 @@
 """Additive and multiplicative characters modulo p.
 
-Includes the additive spectrum of a residue distribution (by FFT, or at
-given frequencies over its support where that is cheaper; the O(p^2)
-`spectrum_direct` is the reference the tests and the verify suite compare
-against) and the one kernel for dilated character sums sum_x w(x) chi(u*x + lam)
-and their moments; the interval and split sums all call it. It splits each term
-as chi(u*x + lam) = chi(x) chi(u + lam * x^{-1}) for x nonzero mod p, so with u
-and c_x = lam * x^{-1} reduced mod p a term is one addition u + c_x < 2p and one
-table lookup whose wrap is a single subtraction of p.
+Includes the additive spectrum of a residue distribution held as (point, mass)
+entries: by FFT, or at given frequencies summed over the entries in the index
+domain, e_p(w*v) = E[ind w + ind v] with E[i] = e_p(g^i), where
+`support_sum_limit` says that is cheaper (the O(p^2) `spectrum_direct` is the
+reference the tests and the verify suite compare against). Also the one kernel
+for dilated character sums sum_x w(x) chi(u*x + lam) and their moments, which
+the interval and split sums call: chi(u*x + lam) = chi(x) chi(u + c_x) with
+c_x = lam * x^{-1} = g^{ind lam - ind x}, so a term is one addition
+u + c_x < 2p and one table lookup whose wrap is a single subtraction of p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -71,22 +72,31 @@ class MultChar:
         return complex(self.table()[x % self.ctx.p])
 
 
-def char_power(chi: MultChar, e: int) -> MultChar:
-    """chi^e; negative e gives the conjugate power."""
-    return MultChar(chi.ctx, (chi.a * e) % (chi.ctx.p - 1))
-
-
-@dataclass
+@dataclass(frozen=True)
 class ResidueDistribution:
-    """A complex-valued function on residues 0..p-1."""
+    """A complex-valued function on residues 0..p-1, held as entries: its value
+    at v is the total mass of the entries whose point is v. Points lie in
+    [0, p-1] and may repeat."""
 
     ctx: PrimeContext
-    values: np.ndarray
+    points: np.ndarray
+    mass: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.ctx.p,):
-            raise ValueError(f"distribution must have length {self.ctx.p}")
+    @classmethod
+    def from_values(cls, ctx: PrimeContext, values) -> ResidueDistribution:
+        """The distribution with the given length-p values, one entry per nonzero residue."""
+        values = np.asarray(values, dtype=np.complex128)
+        if values.shape != (ctx.p,):
+            raise ValueError(f"distribution must have length {ctx.p}")
+        points = np.flatnonzero(values)
+        return cls(ctx, points, values[points])
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The values at residues 0..p-1, summed from the entries on first use."""
+        out = np.zeros(self.ctx.p, dtype=np.complex128)
+        np.add.at(out, self.points, self.mass)
+        return out
 
 
 def spectrum_direct(dist: ResidueDistribution) -> np.ndarray:
@@ -105,26 +115,64 @@ def _spectrum_fast(dist: ResidueDistribution) -> np.ndarray:
     return dist.ctx.p * np.fft.ifft(dist.values)
 
 
+def support_sum_limit(p: int, supp: int) -> int:
+    """The most frequencies that additive_spectrum sums over `supp` entries:
+    |at| * supp pairs cost at most one FFT (with densifying and the gather),
+    about 2 * p * ceil(log2 p) pairs. Timed crossovers: 1.6 at p = 100003, 2 at
+    p = 10007, 3 at p = 1009, above 4 at p <= 101 (tens of microseconds)."""
+    return 2 * p * (p - 1).bit_length() // max(supp, 1)
+
+
+_INDEX_ROOTS: dict[int, np.ndarray] = {}
+
+
+def _index_roots(ctx: PrimeContext) -> np.ndarray:
+    """E[i] = e_p(g^i) for i in [0, 2p-3], cached per p (at most 64 primes), so
+    that e_p(w*v) = E[ind w + ind v] for w, v nonzero mod p."""
+    table = _INDEX_ROOTS.get(ctx.p)
+    if table is None:
+        if len(_INDEX_ROOTS) >= 64:
+            del _INDEX_ROOTS[next(iter(_INDEX_ROOTS))]
+        table = np.tile(_root_table(ctx.p)[ctx.power], 2)
+        table.setflags(write=False)
+        _INDEX_ROOTS[ctx.p] = table
+    return table
+
+
+def _support_sum(dist: ResidueDistribution, at: np.ndarray) -> np.ndarray:
+    """hat[at] for frequencies reduced mod p, summed over the entries: one index
+    addition and one gather per (frequency, point) pair, both nonzero."""
+    ctx, points, mass = dist.ctx, dist.points, dist.mass
+    if not points.all():  # e_p(w*0) = 1: the mass at point 0 adds to every frequency
+        zero = points == 0
+        return _support_sum(ResidueDistribution(ctx, points[~zero], mass[~zero]), at) + mass[zero].sum()
+    if not at.all():  # frequency 0 sums the mass
+        out, w = np.full(len(at), mass.sum(), dtype=np.complex128), np.flatnonzero(at)
+        out[w] = _support_sum(dist, at[w])
+        return out
+    # Blocks of <= max(p, 2^16) (frequency, point) pairs keep memory O(p), like the FFT's.
+    table, iw, iv = _index_roots(ctx), ctx.index[at], ctx.index[points]
+    rows = max(1, max(ctx.p, 2**16) // max(1, len(points)))
+    out = np.empty(len(at), dtype=np.complex128)
+    for i in range(0, len(at), rows):
+        out[i : i + rows] = table[np.add.outer(iw[i : i + rows], iv)] @ mass
+    return out
+
+
 def additive_spectrum(dist: ResidueDistribution, at=None) -> np.ndarray:
     """Transform a residue distribution by FFT: hat[w] = sum_v dist[v]*e_p(w*v),
     which satisfies Parseval's identity sum_w |hat[w]|^2 = p * sum_v |dist[v]|^2.
 
     `at` (integer frequencies, reduced mod p) asks for hat[at] alone: summed over
-    supp(dist) if |at| * |supp dist| <= p * ceil(log2 p), the FFT's work, else
-    gathered from the FFT.
+    the entries if |at| <= support_sum_limit(p, entries), else gathered from the FFT.
     """
     if at is None:
         return _spectrum_fast(dist)
     p = dist.ctx.p
-    at, v = np.asarray(at, dtype=np.int64) % p, np.flatnonzero(dist.values)
-    if len(at) * len(v) > p * (p - 1).bit_length():
+    at = np.asarray(at, dtype=np.int64) % p
+    if len(at) > support_sum_limit(p, len(dist.points)):
         return _spectrum_fast(dist)[at]
-    # Rows of <= p (frequency, support point) pairs keep memory O(p), like the FFT's.
-    roots, mass, rows = _root_table(p), dist.values[v], max(1, p // max(1, len(v)))
-    out = np.empty(len(at), dtype=np.complex128)
-    for i in range(0, len(at), rows):
-        out[i : i + rows] = roots[np.outer(at[i : i + rows], v) % p] @ mass
-    return out
+    return _support_sum(dist, at)
 
 
 def check_weight_bound(w: np.ndarray) -> None:
@@ -146,17 +194,18 @@ def dilated_char_sums(chi: MultChar, u, x: np.ndarray, lam: int, w: np.ndarray) 
     """sum_x w(x) * chi(u*x + lam) for an integer u, or for each u of an int64 array.
 
     Each point x nonzero mod p contributes w(x) chi(x) * chi(u + c_x) with
-    c_x = lam * x^{-1} mod p, since chi(u*x + lam) = chi(x) chi(u + lam * x^{-1}).
-    With u and c_x reduced mod p, u + c_x < 2p, so the wrapped gather reduces
-    each index by one subtraction; points x = 0 mod p contribute w(x) chi(lam).
+    c_x = lam * x^{-1} = g^{ind lam - ind x} mod p (0 if lam = 0 mod p), since
+    chi(u*x + lam) = chi(x) chi(u + lam * x^{-1}). With u and c_x reduced mod p,
+    u + c_x < 2p, so the wrapped gather reduces each index by one subtraction.
+    Points x = 0 mod p contribute w(x) chi(lam); in the gather chi(0) = 0 zeroes
+    their weight, whatever c the sentinel index[0] = -1 gives them.
     """
-    p, table = chi.ctx.p, chi.table()
+    ctx, table = chi.ctx, chi.table()
+    p = ctx.p
     x, lam = np.asarray(x, dtype=np.int64) % p, lam % p
-    if not x.all():
-        zero = x == 0
-        return dilated_char_sums(chi, u, x[~zero], lam, w[~zero]) + w[zero].sum() * table[lam]
-    c = np.array([lam * pow(v, -1, p) % p for v in x.tolist()], dtype=np.int64)
-    return np.take(table, np.add.outer(np.asarray(u % p, dtype=np.int64), c), mode="wrap") @ (w * table[x])
+    c = ctx.power[(ctx.index[lam] - ctx.index[x]) % (p - 1)] if lam else np.zeros_like(x)
+    out = np.take(table, np.add.outer(np.asarray(u % p, dtype=np.int64), c), mode="wrap") @ (w * table[x])
+    return out if x.all() else out + w[x == 0].sum() * table[lam]
 
 
 def dilated_moment(chi: MultChar, x: np.ndarray, lam: int, w: np.ndarray, r: int) -> float:

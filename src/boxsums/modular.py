@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -138,7 +139,8 @@ class PrimeContext:
 
     index[x] = k with g^k = x mod p for x in [1, p-1]; index[0] = -1
     (sentinel) so that character tables can map residue 0 branchlessly.
-    Immutable after construction and safe to share across workers.
+    The inverse table `power` is built on first use and adds 8 bytes per
+    residue. Immutable after construction and safe to share across workers.
     """
 
     p: int
@@ -147,6 +149,14 @@ class PrimeContext:
 
     def ind(self, x: int) -> int:
         return int(self.index[x % self.p])
+
+    @cached_property
+    def power(self) -> np.ndarray:
+        """power[i] = g^i mod p for i in [0, p-2], the inverse of `index`; read-only."""
+        power = np.empty(self.p - 1, dtype=np.int64)
+        power[self.index[1:]] = np.arange(1, self.p, dtype=np.int64)
+        power.flags.writeable = False
+        return power
 
 
 def build_context(p: int) -> PrimeContext:

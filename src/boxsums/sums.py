@@ -3,10 +3,13 @@
 Every sum excludes tuples with a coordinate congruent to 0 mod p.
 Each evaluator has a naive enumeration path plus a split path that
 factors the sum through partial monomial values; the split paths are
-cross-checked against the naive ones to within tau = 1e-9*(1+terms). The
-split character sum folds coordinates 0..n-2 in one at a time and merges the
-(value, mass) entries by residue (two weighted bincounts) only when they
-outnumber p, so at most p reach each fold and the contraction.
+cross-checked against the naive ones to within tau = 1e-9*(1+terms). Partial
+monomial values are held as (value, mass) entries, merged by residue (an
+unbuffered add into a length-p array) only when they outnumber p, so no path
+allocates O(p) for fewer than p entries. The bilinear sum contracts the two
+half boxes' entries; the split character sum folds coordinates 0..n-2 in one
+at a time, merging before each fold, so at most p entries reach each fold and
+the contraction.
 A frozen `SumSpec` flattens its coordinates once, read-only, for every evaluator.
 """
 
@@ -175,13 +178,11 @@ def _terms(spec: SumSpec) -> int:
 
 def monomial_value_distribution(spec: SumSpec, lo: int = 0, hi: int | None = None) -> ResidueDistribution:
     """Distribution over u of the weight mass of tuples whose partial
-    monomial over coordinates lo..hi-1 equals u; mass at 0 is empty."""
+    monomial over coordinates lo..hi-1 equals u, as one entry per tuple,
+    merged by residue once they outnumber p; mass at 0 is empty."""
     if hi is None:
         hi = spec.n
-    vals, wts = _flatten_slice(spec, lo, hi)
-    dist = np.zeros(spec.ctx.p, dtype=np.complex128)
-    np.add.at(dist, vals, wts)
-    return ResidueDistribution(ctx=spec.ctx, values=dist)
+    return ResidueDistribution(spec.ctx, *_merged(*_flatten_slice(spec, lo, hi), spec.ctx.p))
 
 
 def monomial_sum_naive(spec: SumSpec) -> SumResult:
@@ -195,18 +196,17 @@ def monomial_sum_naive(spec: SumSpec) -> SumResult:
 def monomial_sum_bilinear(spec: SumSpec) -> SumResult:
     """Bilinear evaluation through the two half-box distributions.
 
-    Splits at s = floor(n/2) and contracts over the support of d1:
-    sum_u d1[u] * hat_d2[lam*u mod p], where the spectrum of d2 is taken
-    only at those frequencies (by FFT or over supp d2, whichever costs
-    less); an empty supp d1 gives 0.
+    Splits at s = floor(n/2) and contracts over the entries (u, mass) of d1:
+    sum mass * hat_d2[lam*u mod p], where the spectrum of d2 is taken only at
+    those frequencies (by FFT or over the entries of d2, whichever costs
+    less); no entries in d1 give 0.
     """
     if spec.n < 2:
         raise DimensionTooSmallError("bilinear path needs n >= 2")
     s = spec.n // 2
     d1 = monomial_value_distribution(spec, 0, s)
     d2 = monomial_value_distribution(spec, s, spec.n)
-    u = np.flatnonzero(d1.values)
-    value = complex(d1.values[u] @ additive_spectrum(d2, at=spec.lam * u))
+    value = complex(d1.mass @ additive_spectrum(d2, at=spec.lam * d1.points))
     return SumResult(value=value, terms=_terms(spec), method="bilinear")
 
 
@@ -239,9 +239,10 @@ def _merged(u: np.ndarray, mass: np.ndarray, p: int) -> tuple[np.ndarray, np.nda
     """Entries (u, mass) summed by residue u once they outnumber p, else as given."""
     if len(u) <= p:
         return u, mass
-    re, im = np.bincount(u, mass.real, p), np.bincount(u, mass.imag, p)
-    u = np.flatnonzero((re != 0) | (im != 0))
-    return u, re[u] + 1j * im[u]
+    dense = np.zeros(p, dtype=np.complex128)
+    np.add.at(dense, u, mass)
+    u = np.flatnonzero(dense)
+    return u, dense[u]
 
 
 def character_sum_split(spec: SumSpec, chi: MultChar) -> SumResult:

@@ -266,7 +266,7 @@ def _random_dists(grid: VerifyGrid, tag: int):
         ctx = _ctx(p)
         for i in range(5):
             rng = substream(grid.seed, p, tag, i)
-            yield p, i, ResidueDistribution(ctx, rng.normal(size=p) + 1j * rng.normal(size=p))
+            yield p, i, ResidueDistribution.from_values(ctx, rng.normal(size=p) + 1j * rng.normal(size=p))
 
 
 @check("spectrum-parseval")

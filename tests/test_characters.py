@@ -12,7 +12,6 @@ from boxsums.characters import (
     additive_spectrum,
     char_interval_sum,
     char_moment,
-    char_power,
     dilated_char_sums,
     spectrum_direct,
 )
@@ -108,12 +107,11 @@ class TestMultChar:
             assert np.array_equal(MultChar(ctx, a).table(), want)
 
     def test_char_power(self, ctx11):
+        # chi_a^e is chi_{a*e}: the index reduced mod p-1, a negative e included.
         chi = MultChar(ctx11, 3)
-        sq = char_power(chi, 2)
+        sq, conj = MultChar(ctx11, 3 * 2), MultChar(ctx11, 3 * -1)
         for x in range(1, 11):
             assert abs(sq(x) - chi(x) ** 2) < 1e-12
-        conj = char_power(chi, -1)
-        for x in range(1, 11):
             assert abs(conj(x) - chi(x).conjugate()) < 1e-12
 
 
@@ -121,13 +119,13 @@ class TestSpectrum:
     def test_point_mass_at_zero(self, ctx7):
         vals = np.zeros(7, dtype=complex)
         vals[0] = 1.0
-        hat = additive_spectrum(ResidueDistribution(ctx7, vals))
+        hat = additive_spectrum(ResidueDistribution.from_values(ctx7, vals))
         assert np.allclose(hat, np.ones(7))
 
     def test_point_mass_at_one(self, ctx7):
         vals = np.zeros(7, dtype=complex)
         vals[1] = 1.0
-        hat = additive_spectrum(ResidueDistribution(ctx7, vals))
+        hat = additive_spectrum(ResidueDistribution.from_values(ctx7, vals))
         want = np.exp(2j * np.pi * np.arange(7) / 7)
         assert np.allclose(hat, want)
 
@@ -136,7 +134,7 @@ class TestSpectrum:
         ctx = build_context(p)
         rng = np.random.default_rng(0)
         vals = rng.normal(size=p) + 1j * rng.normal(size=p)
-        hat = additive_spectrum(ResidueDistribution(ctx, vals))
+        hat = additive_spectrum(ResidueDistribution.from_values(ctx, vals))
         lhs = (np.abs(hat) ** 2).sum()
         rhs = p * (np.abs(vals) ** 2).sum()
         assert abs(lhs - rhs) / rhs < 1e-12
@@ -146,7 +144,7 @@ class TestSpectrum:
         ctx = build_context(p)
         rng = np.random.default_rng(1)
         vals = rng.normal(size=p) + 1j * rng.normal(size=p)
-        dist = ResidueDistribution(ctx, vals)
+        dist = ResidueDistribution.from_values(ctx, vals)
         direct = spectrum_direct(dist)
         fast = additive_spectrum(dist)
         assert np.array_equal(fast, characters._spectrum_fast(dist))
@@ -155,7 +153,7 @@ class TestSpectrum:
 
     def test_wrong_length_rejected(self, ctx7):
         with pytest.raises(ValueError):
-            ResidueDistribution(ctx7, np.zeros(6, dtype=complex))
+            ResidueDistribution.from_values(ctx7, np.zeros(6, dtype=complex))
 
 
 def _fft_calls(monkeypatch) -> list:
@@ -176,7 +174,7 @@ class TestSpectrumAt:
         vals = np.zeros(p, dtype=complex)
         where = rng.choice(p, size=supp, replace=False)
         vals[where] = rng.normal(size=supp) + 1j * rng.normal(size=supp)
-        return ResidueDistribution(ctx, vals)
+        return ResidueDistribution.from_values(ctx, vals)
 
     @pytest.mark.parametrize("p, supp", CASES)
     def test_matches_full_spectrum_on_both_sides_of_cost_rule(self, p, supp, monkeypatch):
@@ -184,7 +182,7 @@ class TestSpectrumAt:
         full = additive_spectrum(dist)
         tol = 1e-12 * (1 + np.abs(dist.values).sum())
         calls = _fft_calls(monkeypatch)
-        limit = p * (p - 1).bit_length() // supp  # the most frequencies summed directly
+        limit = characters.support_sum_limit(p, supp)  # the most frequencies summed directly
         rng = np.random.default_rng(1)
         for size, fft_calls in ((limit, 0), (limit + 1, 1)):
             at = rng.integers(0, p, size=size)
@@ -197,12 +195,12 @@ class TestSpectrumAt:
     def test_empty_at(self, ctx7, monkeypatch):
         calls = _fft_calls(monkeypatch)
         for vals in (np.zeros(7), np.arange(7.0)):
-            got = additive_spectrum(ResidueDistribution(ctx7, vals), at=np.array([], dtype=np.int64))
+            got = additive_spectrum(ResidueDistribution.from_values(ctx7, vals), at=np.array([], dtype=np.int64))
             assert got.shape == (0,) and got.dtype == np.complex128
         assert calls == []
 
     def test_empty_support_gives_zeros(self, ctx7):
-        got = additive_spectrum(ResidueDistribution(ctx7, np.zeros(7)), at=np.arange(7))
+        got = additive_spectrum(ResidueDistribution.from_values(ctx7, np.zeros(7)), at=np.arange(7))
         assert np.array_equal(got, np.zeros(7))
 
     def test_repeated_and_zero_frequencies(self):
@@ -220,11 +218,15 @@ class TestSpectrumAt:
         assert np.abs(got - additive_spectrum(dist)[[100, 2, 5]]).max() < 1e-9
 
     def test_direct_branch_memory_stays_blocked(self, monkeypatch):
-        # Just under the crossover, an unblocked (frequency, point) table needs about 40 MB.
+        # Just under the crossover, an unblocked (frequency, point) table needs about 80 MB.
         p, supp = 100003, 1000
         dist = self._dist(p, supp)
-        at = np.random.default_rng(2).integers(0, p, size=p * (p - 1).bit_length() // supp)
+        at = np.random.default_rng(2).integers(0, p, size=characters.support_sum_limit(p, supp))
         calls = _fft_calls(monkeypatch)
+        # Count the tables the support sum builds: the power table, E and the unit roots.
+        monkeypatch.setattr(characters, "_INDEX_ROOTS", {})
+        characters._root_table.cache_clear()
+        assert "power" not in dist.ctx.__dict__
         tracemalloc.start()
         try:
             additive_spectrum(dist, at=at)
@@ -233,6 +235,69 @@ class TestSpectrumAt:
             tracemalloc.stop()
         assert calls == []
         assert peak < 16 * 2**20
+
+
+class TestSupportSum:
+    """The index-domain sum e_p(w*v) = E[ind w + ind v] against spectrum_direct."""
+
+    @staticmethod
+    def _sum_everything(monkeypatch):
+        # Every frequency summed over the entries, and the FFT never taken.
+        monkeypatch.setattr(characters, "support_sum_limit", lambda p, supp: 2**62)
+        monkeypatch.setattr(characters, "_spectrum_fast", lambda dist: pytest.fail("FFT taken"))
+
+    @staticmethod
+    def _entries(p, seed):
+        """2p + 8 unmerged entries: points repeat, and several sit at 0 with nonzero mass."""
+        rng = np.random.default_rng(seed)
+        size = 2 * p + 8
+        points = rng.integers(0, p, size=size)
+        points[:3] = 0
+        points[3:6] = max(1, points[6])
+        mass = rng.normal(size=size) + 1j * rng.normal(size=size)
+        return ResidueDistribution(build_context(p), points, mass)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 101, 1009])
+    def test_matches_spectrum_direct(self, p, monkeypatch):
+        dist = self._entries(p, p)
+        direct = spectrum_direct(dist)
+        self._sum_everything(monkeypatch)
+        rng = np.random.default_rng(p + 1)
+        at = np.concatenate([
+            [0, p, -p, 5 * p, -1, -p - 2, 2**40, 2**40 * p + 3, -(2**41) - 1],
+            rng.integers(-3 * p, 3 * p, size=40),
+        ])
+        got = additive_spectrum(dist, at=at)
+        assert got.shape == at.shape and got.dtype == np.complex128
+        tol = 1e-12 * (1 + np.abs(dist.mass).sum())
+        assert np.abs(got - direct[at % p]).max() <= tol
+
+    @pytest.mark.parametrize("p", [3, 101])
+    def test_only_zero_frequencies_or_points(self, p, monkeypatch):
+        self._sum_everything(monkeypatch)
+        ctx, mass = build_context(p), np.array([1.5 - 2j, 0.25j, -1.0])
+        zeros = ResidueDistribution(ctx, np.zeros(3, dtype=np.int64), mass)
+        got = additive_spectrum(zeros, at=np.array([0, 1, p - 1, -7]))
+        assert np.abs(got - mass.sum()).max() < 1e-14
+        dist = self._entries(p, 3)
+        got = additive_spectrum(dist, at=np.array([0, p, -2 * p]))
+        assert np.abs(got - dist.mass.sum()).max() < 1e-12
+
+    def test_empty_at_or_support(self, monkeypatch):
+        self._sum_everything(monkeypatch)
+        dist = self._entries(101, 4)
+        got = additive_spectrum(dist, at=np.array([], dtype=np.int64))
+        assert got.shape == (0,) and got.dtype == np.complex128
+        empty = ResidueDistribution(dist.ctx, np.array([], dtype=np.int64), np.array([], dtype=np.complex128))
+        got = additive_spectrum(empty, at=np.array([0, 1, 100, -5]))
+        assert np.array_equal(got, np.zeros(4))
+
+    def test_values_sum_repeated_points(self):
+        dist = self._entries(7, 5)
+        want = np.zeros(7, dtype=np.complex128)
+        np.add.at(want, dist.points, dist.mass)
+        assert np.array_equal(dist.values, want)
+        assert dist.values is dist.values  # densified once
 
 
 def _direct_dilated(chi, u, x, lam, w):

@@ -588,6 +588,19 @@ class TestVerifySuite:
 
 
 class TestCli:
+    def test_ci_sweep_at_10007_takes_both_spectrum_branches(self, tmp_path, monkeypatch):
+        # The CI determinism cell that runs this exact sweep is there to cover both branches
+        # of the bilinear contraction's spectrum: the FFT and the index-domain support sum.
+        from boxsums import characters
+
+        fft, summed = [], []
+        fast, support_sum = characters._spectrum_fast, characters._support_sum
+        monkeypatch.setattr(characters, "_spectrum_fast", lambda dist: fft.append(1) or fast(dist))
+        monkeypatch.setattr(characters, "_support_sum", lambda dist, at: summed.append(1) or support_sum(dist, at))
+        argv = "sweep --bound s-all --prime 10007 --trials 3 --seed 0 --out".split() + [str(tmp_path / "a.csv")]
+        assert cli.main(argv) == 0
+        assert len(fft) > 0 and len(summed) > 0
+
     def test_sum_naive_pinned(self, capsys):
         rc = cli.main(
             ["sum", "--p", "5", "--h", "2", "--e", "1,1", "--k", "0,0", "--lambda", "1"]

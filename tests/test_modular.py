@@ -141,6 +141,16 @@ class TestBuildContext:
         for k in range(p - 1):
             assert ctx.index[pow(ctx.g, k, p)] == k
 
+    @pytest.mark.parametrize("p", [3, 5, 101, 10007])
+    def test_power_inverts_index(self, p):
+        ctx = build_context(p)
+        power = ctx.power
+        assert power.shape == (p - 1,) and not power.flags.writeable
+        assert power[0] == 1 and power[1 % (p - 1)] == ctx.g % p
+        assert np.array_equal(power[ctx.index[1:]], np.arange(1, p))
+        assert np.array_equal(ctx.index[power], np.arange(p - 1))
+        assert ctx.power is power  # built once per context
+
 
 class TestExponentVector:
     def test_zero_component_rejected(self):

@@ -102,6 +102,48 @@ class TestValueDistribution:
         d = monomial_value_distribution(spec).values
         assert d[0] == 0
 
+    @staticmethod
+    def _add_at_reference(spec, lo, hi):
+        """Every tuple's partial monomial and weight product, added into a dense array one by one."""
+        p, data = spec.ctx.p, spec.coordinates[lo:hi]
+        vals, wts = np.ones(1, dtype=np.int64), np.ones(1, dtype=np.complex128)
+        for pv, w in data:
+            vals, wts = np.multiply.outer(vals, pv).ravel() % p, np.multiply.outer(wts, w).ravel()
+        dense = np.zeros(p, dtype=np.complex128)
+        np.add.at(dense, vals, wts)
+        return dense, len(vals)
+
+    # (p, k, h, e, weights, merged): merged when the entries outnumber p.
+    CASES = {
+        "multiples-of-p": (11, (5, 9, 20), 10, (2, -1, 1), None, True),
+        "multiples-of-p-one-coordinate": (11, (5,), 10, (2,), None, False),
+        "cancelling-table": (13, (0, 0), 12, (2, 1), "cancel", True),
+        "cancelling-table-first": (13, (0,), 12, (2,), "cancel", False),
+        "p10007-n7": (10007, (3, 1000, 5000, 9990, 0, 77, 10004), 5, (1, -1, 2, 1, -2, 3, 1), None, True),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_add_at_reference(self, case):
+        p, k, h, e, weights, merged = self.CASES[case]
+        if weights == "cancel":
+            # x and 13-x share a square: weights 1 and -1 cancel exactly at 4^2, 5^2, 6^2.
+            first = [1.0] * 6 + [-1.0, -1.0, -1.0, 0.5, 0.5, 0.5]
+            weights = TableWeights([first] + [[0.6 + 0.8j] * 12] * (len(k) - 1))
+        spec = _spec(build_context(p), k, h, e, weights, lam=3)
+        for lo, hi in ((0, spec.n), (0, spec.n // 2), (spec.n // 2, spec.n)):
+            if lo == hi:
+                continue
+            dist = monomial_value_distribution(spec, lo, hi)
+            want, tuples = self._add_at_reference(spec, lo, hi)
+            assert np.array_equal(dist.values, want)
+            if (lo, hi) == (0, spec.n):
+                # Merged entries sit one per residue with nonzero mass; unmerged ones one per tuple.
+                assert (tuples > p) == merged
+                if merged:
+                    assert np.array_equal(dist.points, np.flatnonzero(want))
+                else:
+                    assert len(dist.points) == tuples
+
 
 class TestMonomialSumNaive:
     def test_lambda_zero_counts_terms(self, ctx7):
@@ -171,8 +213,9 @@ class TestMonomialSumBilinear:
         assert fast.value == 0
         assert fast.terms == naive.terms == 0
 
-    # p = 1009, n = 4, h = 15: |supp d1| * |supp d2| exceeds p * ceil(log2 p), so the FFT runs;
-    # p = 10007, n = 2, h = 158: it stays below, so the spectrum is summed over supp d2.
+    # p = 1009, n = 4, h = 15: the entries of d1 times those of d2 exceed support_sum_limit's
+    # 2 * p * ceil(log2 p), so the FFT runs; p = 10007, n = 2, h = 158: they stay below, so the
+    # spectrum is summed over the entries of d2.
     @pytest.mark.parametrize("p, n, h, fft_calls", [(1009, 4, 15, 1), (10007, 2, 158, 0)])
     def test_agrees_with_naive_on_each_branch(self, p, n, h, fft_calls, monkeypatch):
         from boxsums import characters
