@@ -208,18 +208,19 @@ def dilated_char_sums(chi: MultChar, u, x: np.ndarray, lam: int, w: np.ndarray) 
     return out if x.all() else out + w[x == 0].sum() * table[lam]
 
 
-def dilated_moment(chi: MultChar, x: np.ndarray, lam: int, w: np.ndarray, r: int) -> float:
-    """sum_{u=1}^{p-1} |dilated_char_sums(chi, u, x, lam, w)|^{2r}; requires a
-    nonprincipal chi, gcd(lam, p) = 1 and r >= 1."""
+def dilated_moments(chi: MultChar, x: np.ndarray, lam: int, w: np.ndarray, orders: Sequence[int]) -> list[float]:
+    """sum_{u=1}^{p-1} |dilated_char_sums(chi, u, x, lam, w)|^{2r} for each r in
+    orders, all from one table of the inner sums; requires a nonprincipal chi,
+    gcd(lam, p) = 1 and every r >= 1."""
     p = chi.ctx.p
     if chi.is_principal:
         raise PrincipalCharacterError("moment sum needs a nonprincipal character")
     if lam % p == 0:
         raise LambdaDivisibleError("lam must be coprime to p")
-    if r < 1:
+    if any(r < 1 for r in orders):
         raise ValueError("moment order r must be >= 1")
-    inner = dilated_char_sums(chi, np.arange(1, p, dtype=np.int64), x, lam, w)
-    return float((np.abs(inner) ** (2 * r)).sum())
+    inner = np.abs(dilated_char_sums(chi, np.arange(1, p, dtype=np.int64), x, lam, w))
+    return [float((inner ** (2 * r)).sum()) for r in orders]
 
 
 def char_interval_sum(
@@ -246,4 +247,4 @@ def char_moment(
     """sum_{u=1}^{p-1} |sum_{x=k+1}^{k+h} rho(x) chi(u*x+lam)|^{2r}, for a
     nonprincipal chi and gcd(lam, p) = 1."""
     x = interval_residues(k, h, chi.ctx.p)
-    return dilated_moment(chi, x, lam, _interval_weights(h, rho), r)
+    return dilated_moments(chi, x, lam, _interval_weights(h, rho), (r,))[0]

@@ -3,7 +3,8 @@
 Counts pairs of tuples (x, y) with equal, nonzero shifted products
 (or shifted-power monomials) mod p, via a single-pass frequency table
 and sum of squares, plus a character-average identity cross-check.
-Intervals come from `modular.interval_powers`, which reduces k mod p.
+Intervals come from `modular.interval_powers`, which reduces k mod p and
+needs no power table, so counting builds none.
 """
 
 from __future__ import annotations

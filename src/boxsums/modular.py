@@ -1,10 +1,12 @@
 """Exact residue arithmetic modulo a prime.
 
 Provides deterministic primality testing, smallest primitive roots,
-a full discrete-log (index) table per prime, monomial evaluation with
-positive or negative exponents, and the interval kernels every sum and count
-is built from (points, powers, box products), which reduce corners mod p.
-Per-element powers call the built-in `pow` in one Python pass; it inverts mod p for a negative exponent.
+a full discrete-log (index) table per prime with its inverse power table,
+monomial evaluation with positive or negative exponents, and the interval
+kernels (points, powers, box products), which reduce corners mod p. The
+counts take powers from `interval_powers`, one built-in `pow` per point (it
+inverts mod p for a negative exponent); sums read them from the index and
+power tables instead (`sums.SumSpec.coordinates`).
 """
 
 from __future__ import annotations
@@ -140,6 +142,8 @@ class PrimeContext:
     index[x] = k with g^k = x mod p for x in [1, p-1]; index[0] = -1
     (sentinel) so that character tables can map residue 0 branchlessly.
     The inverse table `power` is built on first use and adds 8 bytes per
+    residue; every `SumSpec` builds it (its coordinate pass reads x^e as
+    g^{e ind x}), so a resource estimate for sums must count 16 bytes per
     residue. Immutable after construction and safe to share across workers.
     """
 

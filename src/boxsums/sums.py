@@ -10,7 +10,9 @@ allocates O(p) for fewer than p entries. The bilinear sum contracts the two
 half boxes' entries; the split character sum folds coordinates 0..n-2 in one
 at a time, merging before each fold, so at most p entries reach each fold and
 the contraction.
-A frozen `SumSpec` flattens its coordinates once, read-only, for every evaluator.
+A frozen `SumSpec` builds its coordinates once, read-only, for every evaluator:
+one vectorised pass over the n x h residues reads x^{e_j} as g^{e_j ind x} from
+the context's index and power tables and takes one weight table per spec.
 """
 
 from __future__ import annotations
@@ -29,16 +31,10 @@ from .characters import (
     additive_spectrum,
     check_weight_bound,
     dilated_char_sums,
-    dilated_moment,
+    dilated_moments,
 )
 from .errors import DimensionTooSmallError, LambdaDivisibleError
-from .modular import (
-    ExponentVector,
-    PrimeContext,
-    interval_powers,
-    interval_residues,
-    monomial_values,
-)
+from .modular import ExponentVector, PrimeContext, monomial_values
 
 
 def agreement_tolerance(terms: int) -> float:
@@ -68,8 +64,8 @@ class Box:
 class UnitWeights:
     """rho_j(x) = 1 for every coordinate and point."""
 
-    def coordinate_values(self, p: int, j: int, k_j: int, h: int) -> np.ndarray:
-        return np.ones(h, dtype=np.complex128)
+    def coordinate_table(self, p: int, residues: np.ndarray) -> np.ndarray:
+        return np.ones(residues.shape, dtype=np.complex128)
 
     def dimension(self) -> int | None:
         return None
@@ -81,10 +77,10 @@ class PhaseWeights:
     def __init__(self, lambdas: Sequence[int]):
         self.lambdas = tuple(int(v) for v in lambdas)
 
-    def coordinate_values(self, p: int, j: int, k_j: int, h: int) -> np.ndarray:
-        # Both factors reduced first, so lambda_j * x stays below p^2 < 2^62.
-        x = interval_residues(k_j, h, p)
-        return _root_table(p)[(self.lambdas[j] % p * x) % p]
+    def coordinate_table(self, p: int, residues: np.ndarray) -> np.ndarray:
+        # Both factors reduced first (lambda_j in Python), so lambda_j * x stays below p^2 < 2^62.
+        lam = np.array([v % p for v in self.lambdas], dtype=np.int64)
+        return _root_table(p)[lam[:, None] * residues % p]
 
     def dimension(self) -> int | None:
         return len(self.lambdas)
@@ -100,16 +96,18 @@ class TableWeights:
                 raise ValueError("each weight table must be one-dimensional")
             check_weight_bound(t)
 
-    def coordinate_values(self, p: int, j: int, k_j: int, h: int) -> np.ndarray:
-        t = self.tables[j]
-        if t.shape != (h,):
-            raise ValueError(f"weight table {j} must have length {h}")
-        return t
+    def coordinate_table(self, p: int, residues: np.ndarray) -> np.ndarray:
+        h = residues.shape[1]
+        for j, t in enumerate(self.tables):
+            if t.shape != (h,):
+                raise ValueError(f"weight table {j} must have length {h}")
+        return np.array(self.tables)
 
     def dimension(self) -> int | None:
         return len(self.tables)
 
 
+# Each kind gives its n x h weights at a box's residues in one `coordinate_table(p, residues)` call.
 WeightSystem = UnitWeights | PhaseWeights | TableWeights
 
 
@@ -142,14 +140,27 @@ class SumSpec:
     @cached_property
     def coordinates(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per coordinate j, x^{e_j} mod p and the weights at the points of
-        [k_j+1, k_j+h] that are nonzero mod p; both arrays are read-only."""
-        p, h = self.ctx.p, self.box.h
+        [k_j+1, k_j+h] that are nonzero mod p; both arrays are read-only.
+        All n rows come from one pass over the n x h residues: x^{e_j} is
+        g^{e_j ind x} through the context's index and power tables, and the
+        weights are one n x h table from the weight system."""
+        ctx, h = self.ctx, self.box.h
+        p = ctx.p
+        # Corners reduced in Python, so any integer corner is exact; the points are then k_j+1..k_j+h < 2p.
+        k = [k_j % p for k_j in self.box.k]
+        res = (np.array(k, dtype=np.int64)[:, None] + np.arange(1, h + 1, dtype=np.int64)) % p
+        # |e_j * ind x| < 2^31 * p < 2^62; the sentinel ind 0 = -1 picks a power that is dropped below.
+        pv = ctx.power[np.array(self.e.e, dtype=np.int64)[:, None] * ctx.index[res] % (p - 1)]
+        w = self.weights.coordinate_table(p, res)
+        pv.flags.writeable = w.flags.writeable = False
         data = []
-        for j, (k_j, e_j) in enumerate(zip(self.box.k, self.e.e)):
-            keep, pv = interval_powers(k_j, h, e_j, p)
-            w = np.asarray(self.weights.coordinate_values(p, j, k_j, h), dtype=np.complex128)[keep]
-            pv.flags.writeable = w.flags.writeable = False
-            data.append((pv, w))
+        for j, k_j in enumerate(k):
+            pv_j, w_j = pv[j], w[j]
+            if k_j + h >= p:  # the point p, at column p-1-k_j, is the one that is 0 mod p
+                keep = res[j] != 0
+                pv_j, w_j = pv_j[keep], w_j[keep]
+                pv_j.flags.writeable = w_j.flags.writeable = False
+            data.append((pv_j, w_j))
         return tuple(data)
 
 
@@ -278,15 +289,19 @@ def cauchy_majorant(spec: SumSpec) -> float:
     return math.sqrt(spec.ctx.p * m1 * m2)
 
 
-def holder_majorant(spec: SumSpec, chi: MultChar, r: int) -> float:
+def holder_majorant(spec: SumSpec, chi: MultChar, r: int | Sequence[int]) -> float | list[float]:
     """Rigorous Holder-step majorant of the character sum: the 2r-th root of
     (sum|d0|^2) * (sum|d0|)^{2r-2} * sum_u |inner(u)|^{2r}, where inner(u) is
-    the last-coordinate sum rho_n(x) chi(u*x^{e_n}+lam) over u = 1..p-1."""
+    the last-coordinate sum rho_n(x) chi(u*x^{e_n}+lam) over u = 1..p-1.
+    A sequence of orders gives one majorant per order, from one table of
+    inner sums and one d0."""
     if spec.n < 2:
         raise DimensionTooSmallError("majorant needs n >= 2")
+    orders = tuple(r) if isinstance(r, Sequence) else (r,)
     pv, w = spec.coordinates[-1]
-    moment = dilated_moment(chi, pv, spec.lam, w, r)
+    moments = dilated_moments(chi, pv, spec.lam, w, orders)
     absd0 = np.abs(monomial_value_distribution(spec, 0, spec.n - 1).values)
     sq = float((absd0**2).sum())
     l1 = float(absd0.sum())
-    return (sq * l1 ** (2 * r - 2) * moment) ** (1.0 / (2 * r))
+    out = [(sq * l1 ** (2 * q - 2) * m) ** (1.0 / (2 * q)) for q, m in zip(orders, moments)]
+    return out if isinstance(r, Sequence) else out[0]

@@ -8,7 +8,8 @@ message; bodies pass `cond and f"..."`, so a message is formatted only when
 the check fails. Checks that walk the same grid share its generator, and each
 computes its own values. The suite carries a fixed inventory of check names
 and refuses to run if the registry does not cover it exactly.
-`monomial-factor-agreement` checks both the monomial kernels and `monomial_eval`.
+`monomial-factor-agreement` checks the counts' interval kernel, the sums' coordinate pass
+and `monomial_eval`.
 """
 
 from __future__ import annotations
@@ -191,8 +192,9 @@ def _slow_pow(x: int, e: int, p: int) -> int:
 
 @check("monomial-factor-agreement")
 def _check_monomial(grid: VerifyGrid, store, out: CheckResult) -> None:
-    """Both the kernels every sum and count runs (`interval_powers`, `monomial_values`) and
-    `monomial_eval`, at each tuple of [1, p-1]^n, against products of tabulated `_slow_pow`."""
+    """The interval kernel that counts run (`interval_powers`), the coordinate pass that sums
+    run (`SumSpec.coordinates`), both through `monomial_values`, and `monomial_eval`, at each
+    tuple of [1, p-1]^n, against products of tabulated `_slow_pow`."""
     for p in [q for q in grid.primes if q <= 13]:
         ctx = _ctx(p)
         oracle = {ej: [_slow_pow(x, ej, p) for x in range(1, p)] for ej in (-2, -1, 1, 2)}
@@ -200,16 +202,20 @@ def _check_monomial(grid: VerifyGrid, store, out: CheckResult) -> None:
             for e in itertools.product(oracle, repeat=n):
                 ev = ExponentVector(e)
                 kernel = monomial_values([interval_powers(0, p - 1, ej, p)[1] for ej in e], p).tolist()
+                coords = SumSpec(ctx, Box((0,) * n, p - 1), ev).coordinates
+                spec_kernel = monomial_values([pv for pv, _ in coords], p).tolist()
                 want = [math.prod(f) % p for f in itertools.product(*(oracle[ej] for ej in e))]
                 # One tally per e: each tuple is an instance, and a message is built only for a mismatch.
-                short = len(kernel) != len(want)
+                short = len(kernel) != len(want) or len(spec_kernel) != len(want)
                 out.add(
                     0.0,
-                    short and f"p={p}, e={e}: {len(kernel)} kernel values, want {len(want)}",
+                    short and f"p={p}, e={e}: {len(kernel)} and {len(spec_kernel)} kernel values, want {len(want)}",
                     *(
                         f"p={p}, x={x}, e={e}"
-                        for x, got, w in zip(itertools.product(range(1, p), repeat=n), kernel, want)
-                        if got != w or monomial_eval(ctx, x, ev) != w
+                        for x, got, via_spec, w in zip(
+                            itertools.product(range(1, p), repeat=n), kernel, spec_kernel, want
+                        )
+                        if got != w or via_spec != w or monomial_eval(ctx, x, ev) != w
                     ),
                     instances=len(want),
                 )
@@ -414,8 +420,8 @@ def _check_holder(grid: VerifyGrid, store, out: CheckResult) -> None:
         chi = MultChar(ctx, int(rng.integers(1, ctx.p - 1)))
         naive = sums.character_sum_naive(spec, chi)
         tol = agreement_tolerance(naive.terms)
-        for r in (1, 2, 3):
-            slack = abs(naive.value) - sums.holder_majorant(spec, chi, r)
+        for r, majorant in zip((1, 2, 3), sums.holder_majorant(spec, chi, (1, 2, 3))):
+            slack = abs(naive.value) - majorant
             out.add(slack, slack > tol and f"majorant below |T| at trial {trial}, p={ctx.p}, r={r}")
 
 

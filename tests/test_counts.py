@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxsums import counts
 from boxsums.counts import (
@@ -13,7 +15,7 @@ from boxsums.counts import (
     product_inequality_report,
 )
 from boxsums.errors import TooLargeError
-from boxsums.modular import ExponentVector, build_context
+from boxsums.modular import ExponentVector, build_context, is_prime
 
 PRIMES = [5, 7, 11, 13, 31]
 
@@ -99,6 +101,26 @@ class TestProductPairsBrute:
         # 1449^3 > isqrt(2^63 - 1) = 3037000499 tuples.
         with pytest.raises(TooLargeError):
             counts._pair_count([np.ones(1449, dtype=np.int64)] * 3, 7)
+
+
+REFLECTION_PRIMES = [q for q in range(3, 1010) if is_prime(q)]
+
+
+@st.composite
+def _reflection_case(draw):
+    p = draw(st.sampled_from(REFLECTION_PRIMES))
+    return p, draw(st.integers(1, 3)), draw(st.integers(1, min(8, p - 1))), draw(st.integers(-3 * p, 3 * p))
+
+
+class TestProductPairsReflection:
+    @settings(max_examples=200, deadline=None)
+    @given(_reflection_case())
+    def test_reflected_shift_counts_the_same(self, case):
+        # x -> -x maps [k+1, k+h] onto [k'+1, k'+h] with k' = -k-h-1 = p-1-h-k mod p,
+        # and multiplies every nu-fold product by (-1)^nu, so the pairs correspond exactly.
+        p, nu, h, k = case
+        ctx = build_context(p)
+        assert count_product_pairs_brute(ctx, nu, h, k) == count_product_pairs_brute(ctx, nu, h, p - 1 - h - k)
 
 
 class TestProductPairsSpectral:

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -457,6 +458,28 @@ class TestVerifySuite:
         monkeypatch.setattr(verify_mod, "monomial_eval", corrupted)
         result = verify_mod.CHECKS["monomial-factor-agreement"](verify_mod.VerifyGrid(primes=(11,)), None)
         assert result.failures == ["p=11, x=(3, 5, 7), e=(1, -2, 2)"]
+
+    def test_monomial_check_catches_coordinate_fault(self, monkeypatch):
+        from boxsums import verify as verify_mod
+        from boxsums.sums import SumSpec
+
+        real = SumSpec.coordinates.func
+
+        def corrupted(spec):
+            data = real(spec)
+            if spec.e.e != (1, -2, 2):
+                return data
+            pv = data[1][0].copy()
+            pv[4] = (pv[4] + 1) % spec.ctx.p  # the point x_2 = 5
+            return (data[0], (pv, data[1][1]), data[2])
+
+        monkeypatch.setattr(SumSpec, "coordinates", property(corrupted))
+        result = verify_mod.CHECKS["monomial-factor-agreement"](verify_mod.VerifyGrid(primes=(11,)), None)
+        assert not result.passed
+        assert result.instances == 4 * 10 + 16 * 100 + 64 * 1000
+        assert len(result.failures) == 100
+        assert all(re.fullmatch(r"p=11, x=\(\d+, 5, \d+\), e=\(1, -2, 2\)", f) for f in result.failures)
+        assert "p=11, x=(3, 5, 7), e=(1, -2, 2)" in result.failures
 
     @pytest.mark.parametrize("name", ["count-growth-regression", "bound-nontrivial-range"])
     def test_store_checks_pass_with_committed_store(self, name):

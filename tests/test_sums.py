@@ -548,6 +548,23 @@ class TestHolderMajorant:
                 for r in (1, 2, 3):
                     assert abs(naive.value) <= holder_majorant(spec, chi, r) + tol
 
+    @pytest.mark.parametrize("kind", ["unit", "phase", "table"])
+    def test_orders_at_once_match_single_orders(self, kind):
+        for p in (5, 13, 101):
+            ctx = build_context(p)
+            for trial in range(10):
+                rng = substream(78, p, trial)
+                spec = draw_spec(rng, ctx, int(rng.integers(2, 5)), 3, [-2, -1, 1, 2], kind)
+                chi = MultChar(ctx, int(rng.integers(1, p - 1)))
+                together = holder_majorant(spec, chi, (1, 2, 3))
+                assert len(together) == 3
+                for r, got in zip((1, 2, 3), together):
+                    assert got == pytest.approx(holder_majorant(spec, chi, r), rel=1e-12, abs=0)
+
+    def test_bad_order_among_several(self, ctx7):
+        with pytest.raises(ValueError):
+            holder_majorant(_spec(ctx7, (0, 0), 2, (1, 1)), MultChar(ctx7, 1), (1, 0))
+
 
 class TestConjugation:
     @pytest.mark.parametrize("p", [5, 7, 11])
@@ -622,3 +639,69 @@ class TestCoordinateCache:
         self._evaluate(self._fresh("table", tables), self.ORDER)
         for t, t0 in zip(tables, before):
             assert t.flags.writeable and np.array_equal(t, t0)
+
+
+class TestCoordinatePass:
+    """`SumSpec.coordinates` against a per-element `pow(x, e, p)` and per-point weights."""
+
+    E = (1, -1, 2**31 - 1, -(2**31 - 1), -2)
+
+    @staticmethod
+    def _corners(p, h):
+        # Negative, beyond 2^64 both ways, and one whose interval holds p itself.
+        return (-1, -(2**64) - 7, 2**64 + 3, p - 1 - h // 2, 0)
+
+    @staticmethod
+    def _weights(kind, p, h):
+        if kind == "unit":
+            return UnitWeights()
+        if kind == "phase":
+            return PhaseWeights((3, -1, 2**70 + 5, p, 0))
+        rng = np.random.default_rng(p * 1000 + h)
+        return TableWeights(rng.random((5, h)) * np.exp(2j * np.pi * rng.random((5, h))))
+
+    @staticmethod
+    def _reference_weight(weights, j, i, x, p):
+        if isinstance(weights, UnitWeights):
+            return 1.0
+        if isinstance(weights, PhaseWeights):
+            return cmath.exp(2j * math.pi * (weights.lambdas[j] * x % p) / p)
+        return weights.tables[j][i]
+
+    @pytest.mark.parametrize("kind", ["unit", "phase", "table"])
+    @pytest.mark.parametrize("p", [3, 5, 101, 10007])
+    def test_matches_pow_reference(self, p, kind):
+        for h in sorted({1, min(p - 1, 7), p - 1}):
+            weights = self._weights(kind, p, h)
+            spec = _spec(build_context(p), self._corners(p, h), h, self.E, weights)
+            data = spec.coordinates
+            assert len(data) == 5
+            for j, ((pv, w), k_j, e_j) in enumerate(zip(data, spec.box.k, self.E)):
+                cols = [i for i in range(h) if (k_j + 1 + i) % p]
+                want = [pow(k_j + 1 + i, e_j, p) for i in cols]
+                want_w = [self._reference_weight(weights, j, i, k_j + 1 + i, p) for i in cols]
+                assert pv.dtype == np.int64 and pv.tolist() == want
+                assert w.dtype == np.complex128 and w.shape == pv.shape
+                assert np.allclose(w, want_w, rtol=0, atol=1e-12)
+                assert not pv.flags.writeable and not w.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["unit", "phase", "table"])
+    @pytest.mark.parametrize("p", [3, 5, 101, 10007])
+    def test_multiple_of_p_dropped_with_its_weight(self, p, kind):
+        h = min(p - 1, 7)
+        weights = self._weights(kind, p, h)
+        spec = _spec(build_context(p), self._corners(p, h), h, self.E, weights)
+        j = 3  # the corner p - 1 - h // 2 puts p at column h // 2
+        pv, w = spec.coordinates[j]
+        assert len(pv) == len(w) == h - 1
+        kept = [i for i in range(h) if i != h // 2]
+        want_w = [self._reference_weight(weights, j, i, spec.box.k[j] + 1 + i, p) for i in kept]
+        assert np.allclose(w, want_w, rtol=0, atol=1e-12)
+        for arr in (pv, w):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_table_of_wrong_length_rejected(self, ctx7):
+        spec = _spec(ctx7, (0, 0), 3, (1, 1), TableWeights([[0.5] * 3, [0.5] * 2]))
+        with pytest.raises(ValueError, match="weight table 1 must have length 3"):
+            spec.coordinates
