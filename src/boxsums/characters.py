@@ -14,7 +14,7 @@ u + c_x < 2p and one table lookup whose wrap is a single subtraction of p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -23,18 +23,9 @@ from .errors import LambdaDivisibleError, PrincipalCharacterError
 from .modular import PrimeContext, interval_residues
 
 
-@lru_cache(maxsize=64)
-def _root_table(p: int) -> np.ndarray:
-    """Unit roots e_p(z) = exp(2*pi*i*z/p) for z = 0..p-1."""
-    z = np.arange(p)
-    table = np.exp(2j * np.pi * z / p)
-    table.setflags(write=False)
-    return table
-
-
 def additive_char(ctx: PrimeContext, z: int) -> complex:
     """The additive character e_p(z) = exp(2*pi*i*z/p)."""
-    return complex(_root_table(ctx.p)[z % ctx.p])
+    return complex(ctx.roots[z % ctx.p])
 
 
 @dataclass
@@ -62,7 +53,7 @@ class MultChar:
             m = self.ctx.p - 1
             # a*ind reduced mod p-1 indexes the (p-1)-th roots; index[0] = -1
             # lands on a valid root that is then zeroed.
-            vals = _root_table(m)[(self.a * self.ctx.index) % m]
+            vals = self.ctx.char_roots[(self.a * self.ctx.index) % m]
             vals[0] = 0.0
             vals.setflags(write=False)
             self._table = vals
@@ -101,8 +92,7 @@ class ResidueDistribution:
 
 def spectrum_direct(dist: ResidueDistribution) -> np.ndarray:
     """The O(p^2) reference for additive_spectrum: each frequency summed over every residue."""
-    p = dist.ctx.p
-    roots = _root_table(p)
+    p, roots = dist.ctx.p, dist.ctx.roots
     v = np.arange(p, dtype=np.int64)
     out = np.empty(p, dtype=np.complex128)
     for w in range(p):
@@ -123,22 +113,6 @@ def support_sum_limit(p: int, supp: int) -> int:
     return 2 * p * (p - 1).bit_length() // max(supp, 1)
 
 
-_INDEX_ROOTS: dict[int, np.ndarray] = {}
-
-
-def _index_roots(ctx: PrimeContext) -> np.ndarray:
-    """E[i] = e_p(g^i) for i in [0, 2p-3], cached per p (at most 64 primes), so
-    that e_p(w*v) = E[ind w + ind v] for w, v nonzero mod p."""
-    table = _INDEX_ROOTS.get(ctx.p)
-    if table is None:
-        if len(_INDEX_ROOTS) >= 64:
-            del _INDEX_ROOTS[next(iter(_INDEX_ROOTS))]
-        table = np.tile(_root_table(ctx.p)[ctx.power], 2)
-        table.setflags(write=False)
-        _INDEX_ROOTS[ctx.p] = table
-    return table
-
-
 def _support_sum(dist: ResidueDistribution, at: np.ndarray) -> np.ndarray:
     """hat[at] for frequencies reduced mod p, summed over the entries: one index
     addition and one gather per (frequency, point) pair, both nonzero."""
@@ -151,7 +125,7 @@ def _support_sum(dist: ResidueDistribution, at: np.ndarray) -> np.ndarray:
         out[w] = _support_sum(dist, at[w])
         return out
     # Blocks of <= max(p, 2^16) (frequency, point) pairs keep memory O(p), like the FFT's.
-    table, iw, iv = _index_roots(ctx), ctx.index[at], ctx.index[points]
+    table, iw, iv = ctx.index_roots, ctx.index[at], ctx.index[points]
     rows = max(1, max(ctx.p, 2**16) // max(1, len(points)))
     out = np.empty(len(at), dtype=np.complex128)
     for i in range(0, len(at), rows):
@@ -210,8 +184,8 @@ def dilated_char_sums(chi: MultChar, u, x: np.ndarray, lam: int, w: np.ndarray) 
 
 def dilated_moments(chi: MultChar, x: np.ndarray, lam: int, w: np.ndarray, orders: Sequence[int]) -> list[float]:
     """sum_{u=1}^{p-1} |dilated_char_sums(chi, u, x, lam, w)|^{2r} for each r in
-    orders, all from one table of the inner sums; requires a nonprincipal chi,
-    gcd(lam, p) = 1 and every r >= 1."""
+    orders, all from one length-(p-1) table of the inner sums; requires a
+    nonprincipal chi, gcd(lam, p) = 1 and every r >= 1."""
     p = chi.ctx.p
     if chi.is_principal:
         raise PrincipalCharacterError("moment sum needs a nonprincipal character")
@@ -219,7 +193,11 @@ def dilated_moments(chi: MultChar, x: np.ndarray, lam: int, w: np.ndarray, order
         raise LambdaDivisibleError("lam must be coprime to p")
     if any(r < 1 for r in orders):
         raise ValueError("moment order r must be >= 1")
-    inner = np.abs(dilated_char_sums(chi, np.arange(1, p, dtype=np.int64), x, lam, w))
+    # Blocks of <= max(p, 2^16) (u, x) pairs keep memory O(p) whatever len(x) is.
+    u, rows = np.arange(1, p, dtype=np.int64), max(1, max(p, 2**16) // max(1, len(x)))
+    inner = np.empty(p - 1)
+    for i in range(0, p - 1, rows):
+        inner[i : i + rows] = np.abs(dilated_char_sums(chi, u[i : i + rows], x, lam, w))
     return [float((inner ** (2 * r)).sum()) for r in orders]
 
 

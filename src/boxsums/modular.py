@@ -1,8 +1,8 @@
 """Exact residue arithmetic modulo a prime.
 
 Provides deterministic primality testing, smallest primitive roots,
-a full discrete-log (index) table per prime with its inverse power table,
-monomial evaluation with positive or negative exponents, and the interval
+a full discrete-log (index) table per prime with its inverse power table
+and the unit-root tables the characters read (all on `PrimeContext`), monomial evaluation with positive or negative exponents, and the interval
 kernels (points, powers, box products), which reduce corners mod p. The
 counts take powers from `interval_powers`, one built-in `pow` per point (it
 inverts mod p for a negative exponent); sums read them from the index and
@@ -137,14 +137,16 @@ class ExponentVector:
 
 @dataclass(frozen=True)
 class PrimeContext:
-    """A prime p with its smallest primitive root and full index table.
+    """A prime p with its smallest primitive root, full index table, and every
+    other per-prime table, each freed with its context.
 
     index[x] = k with g^k = x mod p for x in [1, p-1]; index[0] = -1
     (sentinel) so that character tables can map residue 0 branchlessly.
-    The inverse table `power` is built on first use and adds 8 bytes per
-    residue; every `SumSpec` builds it (its coordinate pass reads x^e as
-    g^{e ind x}), so a resource estimate for sums must count 16 bytes per
-    residue. Immutable after construction and safe to share across workers.
+    Bytes per residue: `index` 8, built eagerly; on first use, `power` 8
+    (every `SumSpec` reads x^e as g^{e ind x}), `roots` 16, `char_roots` 16
+    and `index_roots` 32. So 80 bytes per residue once all are built, about
+    172 GB at MAX_MODULUS. Immutable after construction (every table is
+    read-only) and safe to share across workers.
     """
 
     p: int
@@ -159,8 +161,29 @@ class PrimeContext:
         """power[i] = g^i mod p for i in [0, p-2], the inverse of `index`; read-only."""
         power = np.empty(self.p - 1, dtype=np.int64)
         power[self.index[1:]] = np.arange(1, self.p, dtype=np.int64)
-        power.flags.writeable = False
-        return power
+        return _read_only(power)
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """roots[z] = e_p(z) = exp(2*pi*i*z/p) for z in [0, p-1]; read-only."""
+        return _read_only(np.exp(2j * np.pi * np.arange(self.p) / self.p))
+
+    @cached_property
+    def char_roots(self) -> np.ndarray:
+        """The (p-1)-th roots exp(2*pi*i*j/(p-1)) for j in [0, p-2], the values
+        of every multiplicative character; read-only."""
+        return _read_only(np.exp(2j * np.pi * np.arange(self.p - 1) / (self.p - 1)))
+
+    @cached_property
+    def index_roots(self) -> np.ndarray:
+        """E[i] = e_p(g^i) for i in [0, 2p-3] (two periods), so that
+        e_p(w*v) = E[ind w + ind v] for w, v nonzero mod p; read-only."""
+        return _read_only(np.tile(self.roots[self.power], 2))
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
 
 def build_context(p: int) -> PrimeContext:

@@ -27,7 +27,6 @@ import numpy as np
 from .characters import (
     MultChar,
     ResidueDistribution,
-    _root_table,
     additive_spectrum,
     check_weight_bound,
     dilated_char_sums,
@@ -64,7 +63,7 @@ class Box:
 class UnitWeights:
     """rho_j(x) = 1 for every coordinate and point."""
 
-    def coordinate_table(self, p: int, residues: np.ndarray) -> np.ndarray:
+    def coordinate_table(self, ctx: PrimeContext, residues: np.ndarray) -> np.ndarray:
         return np.ones(residues.shape, dtype=np.complex128)
 
     def dimension(self) -> int | None:
@@ -77,10 +76,10 @@ class PhaseWeights:
     def __init__(self, lambdas: Sequence[int]):
         self.lambdas = tuple(int(v) for v in lambdas)
 
-    def coordinate_table(self, p: int, residues: np.ndarray) -> np.ndarray:
+    def coordinate_table(self, ctx: PrimeContext, residues: np.ndarray) -> np.ndarray:
         # Both factors reduced first (lambda_j in Python), so lambda_j * x stays below p^2 < 2^62.
-        lam = np.array([v % p for v in self.lambdas], dtype=np.int64)
-        return _root_table(p)[lam[:, None] * residues % p]
+        lam = np.array([v % ctx.p for v in self.lambdas], dtype=np.int64)
+        return ctx.roots[lam[:, None] * residues % ctx.p]
 
     def dimension(self) -> int | None:
         return len(self.lambdas)
@@ -96,7 +95,7 @@ class TableWeights:
                 raise ValueError("each weight table must be one-dimensional")
             check_weight_bound(t)
 
-    def coordinate_table(self, p: int, residues: np.ndarray) -> np.ndarray:
+    def coordinate_table(self, ctx: PrimeContext, residues: np.ndarray) -> np.ndarray:
         h = residues.shape[1]
         for j, t in enumerate(self.tables):
             if t.shape != (h,):
@@ -107,7 +106,7 @@ class TableWeights:
         return len(self.tables)
 
 
-# Each kind gives its n x h weights at a box's residues in one `coordinate_table(p, residues)` call.
+# Each kind gives its n x h weights at a box's residues in one `coordinate_table(ctx, residues)` call.
 WeightSystem = UnitWeights | PhaseWeights | TableWeights
 
 
@@ -151,7 +150,7 @@ class SumSpec:
         res = (np.array(k, dtype=np.int64)[:, None] + np.arange(1, h + 1, dtype=np.int64)) % p
         # |e_j * ind x| < 2^31 * p < 2^62; the sentinel ind 0 = -1 picks a power that is dropped below.
         pv = ctx.power[np.array(self.e.e, dtype=np.int64)[:, None] * ctx.index[res] % (p - 1)]
-        w = self.weights.coordinate_table(p, res)
+        w = self.weights.coordinate_table(ctx, res)
         pv.flags.writeable = w.flags.writeable = False
         data = []
         for j, k_j in enumerate(k):
@@ -198,9 +197,9 @@ def monomial_value_distribution(spec: SumSpec, lo: int = 0, hi: int | None = Non
 
 def monomial_sum_naive(spec: SumSpec) -> SumResult:
     """Direct O(h^n) enumeration of sum rho-product * e_p(lam * monomial)."""
-    p = spec.ctx.p
+    ctx = spec.ctx
     vals, wts = _flatten_slice(spec, 0, spec.n)
-    phases = _root_table(p)[(spec.lam * vals) % p]
+    phases = ctx.roots[(spec.lam * vals) % ctx.p]
     return SumResult(value=complex(wts @ phases), terms=len(vals), method="naive")
 
 

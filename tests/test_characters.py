@@ -1,4 +1,5 @@
 import cmath
+import gc
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from boxsums.characters import (
     char_interval_sum,
     char_moment,
     dilated_char_sums,
+    dilated_moments,
     spectrum_direct,
 )
 from boxsums.errors import LambdaDivisibleError, PrincipalCharacterError
@@ -223,10 +225,8 @@ class TestSpectrumAt:
         dist = self._dist(p, supp)
         at = np.random.default_rng(2).integers(0, p, size=characters.support_sum_limit(p, supp))
         calls = _fft_calls(monkeypatch)
-        # Count the tables the support sum builds: the power table, E and the unit roots.
-        monkeypatch.setattr(characters, "_INDEX_ROOTS", {})
-        characters._root_table.cache_clear()
-        assert "power" not in dist.ctx.__dict__
+        # A fresh context, so the count takes in the tables the support sum builds: power, roots and E.
+        assert not {"power", "roots", "index_roots"} & dist.ctx.__dict__.keys()
         tracemalloc.start()
         try:
             additive_spectrum(dist, at=at)
@@ -401,6 +401,28 @@ class TestCharMoment:
                 want += abs(inner) ** (2 * r)
             assert abs(got - want) / (1 + want) < 1e-10
 
+    def test_blocks_match_one_table(self):
+        # At p = 1009, h = 200 the inner sums are taken in four blocks of u.
+        p, h, lam = 1009, 200, 5
+        chi = MultChar(build_context(p), 7)
+        x = np.arange(900, 900 + h)
+        w = np.exp(1j * np.arange(h))
+        inner = np.abs(dilated_char_sums(chi, np.arange(1, p), x, lam, w))
+        for r, got in zip((1, 2), dilated_moments(chi, x, lam, w, (1, 2))):
+            want = float((inner ** (2 * r)).sum())
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_memory_stays_blocked(self):
+        # One (p-1) x h table of the inner sums' terms would need about 230 MiB here.
+        chi = MultChar(build_context(100003), 1)
+        tracemalloc.start()
+        try:
+            char_moment(chi, k=5, h=100, lam=7, r=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_principal_rejected(self, ctx11):
         with pytest.raises(PrincipalCharacterError):
             char_moment(MultChar(ctx11, 0), 0, 3, 1)
@@ -412,3 +434,21 @@ class TestCharMoment:
     def test_bad_r_rejected(self, ctx11):
         with pytest.raises(ValueError):
             char_moment(MultChar(ctx11, 2), 0, 3, 1, r=0)
+
+
+def test_context_tables_are_freed_with_their_context():
+    # The lazy tables (about 70 MiB per prime here) live on their context, so none outlive it.
+    contexts = [build_context(p) for p in (1000003, 1000033)]
+    tracemalloc.start()
+    try:
+        for ctx in contexts:
+            dist = ResidueDistribution(ctx, np.arange(1, 31), np.ones(30, dtype=complex))
+            additive_spectrum(dist, at=np.arange(1, 101))
+            char_interval_sum(MultChar(ctx, 1), k=0, h=20, u=3, lam=1)
+            assert {"power", "roots", "char_roots", "index_roots"} <= ctx.__dict__.keys()
+        del contexts, ctx, dist
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20

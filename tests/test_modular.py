@@ -151,6 +151,22 @@ class TestBuildContext:
         assert np.array_equal(ctx.index[power], np.arange(p - 1))
         assert ctx.power is power  # built once per context
 
+    @pytest.mark.parametrize("p", [3, 5, 101, 10007])
+    def test_root_tables_match_their_formulas(self, p):
+        ctx = build_context(p)
+        roots = np.exp(2j * np.pi * np.arange(p) / p)
+        formulas = {
+            "roots": roots,
+            "char_roots": np.exp(2j * np.pi * np.arange(p - 1) / (p - 1)),
+            "index_roots": np.tile(roots[ctx.power], 2),
+        }
+        for name, want in formulas.items():
+            assert name not in ctx.__dict__, name  # built on first use
+            table = getattr(ctx, name)
+            assert np.array_equal(table, want) and not table.flags.writeable, name
+            assert getattr(ctx, name) is table, name  # built once per context
+            assert getattr(build_context(p), name) is not table, name  # not shared by contexts of one p
+
 
 class TestExponentVector:
     def test_zero_component_rejected(self):
