@@ -210,7 +210,7 @@ def char_interval_sum(
     rho: Sequence[complex] | None = None,
 ) -> complex:
     """sum_{x=k+1}^{k+h} rho(x) * chi(u*x + lam); chi(0) terms vanish."""
-    x = interval_residues(k, h, chi.ctx.p)
+    x = interval_residues((k,), h, chi.ctx.p)[0]
     return complex(dilated_char_sums(chi, u, x, lam, _interval_weights(h, rho)))
 
 
@@ -224,5 +224,5 @@ def char_moment(
 ) -> float:
     """sum_{u=1}^{p-1} |sum_{x=k+1}^{k+h} rho(x) chi(u*x+lam)|^{2r}, for a
     nonprincipal chi and gcd(lam, p) = 1."""
-    x = interval_residues(k, h, chi.ctx.p)
+    x = interval_residues((k,), h, chi.ctx.p)[0]
     return dilated_moments(chi, x, lam, _interval_weights(h, rho), (r,))[0]

@@ -15,7 +15,7 @@ import sys
 from . import counts, sums
 from .characters import MultChar
 from .config import KEYS, MODES, ExperimentConfig, apply_key, load_config
-from .errors import BoxsumsError, ConfigInvalidError, NotPrimeError, TooLargeError
+from .errors import BoxsumsError, ConfigInvalidError, DimensionTooSmallError, NotPrimeError, TooLargeError
 from .harness import (
     CALIBRATION_TRIALS,
     CalibrationStore,
@@ -271,8 +271,8 @@ def main(argv: list[str] | None = None) -> int:
         # The reader is gone: point stdout at devnull so the interpreter's final flush cannot raise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    # The package raises ValueError for out-of-range arguments, such as h >= p.
-    except (ConfigInvalidError, NotPrimeError, TooLargeError, ValueError) as exc:
+    # Out-of-range arguments raise ValueError (h >= p, say) or DimensionTooSmallError (a split with n = 1).
+    except (ConfigInvalidError, DimensionTooSmallError, NotPrimeError, TooLargeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except AssertionError as exc:

@@ -3,8 +3,8 @@
 Counts pairs of tuples (x, y) with equal, nonzero shifted products
 (or shifted-power monomials) mod p, via a single-pass frequency table
 and sum of squares, plus a character-average identity cross-check.
-Intervals come from `modular.interval_powers`, which reduces k mod p and
-needs no power table, so counting builds none.
+Intervals come from `modular.box_powers`, the kernel the sums read too, which
+reduces k mod p and reads x^e from the context's index and power tables.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .errors import RoundingUnstableError, TooLargeError
 from .modular import (
     ExponentVector,
     PrimeContext,
+    box_powers,
     build_context,
-    interval_powers,
     is_prime,
     monomial_values,
 )
@@ -49,7 +49,7 @@ def count_product_pairs_brute(ctx: PrimeContext, nu: int, h: int, k: int) -> Cou
     prod (x_j+k) = prod (y_j+k) != 0 mod p. Exact, O(nu * h^nu)."""
     if nu < 1:
         raise ValueError(f"tuple length nu must be >= 1, got {nu}")
-    return _pair_count([interval_powers(k, h, 1, ctx.p)[1]] * nu, ctx.p)
+    return _pair_count([box_powers(ctx, (k,), h, (1,))[0][0]] * nu, ctx.p)
 
 
 def count_product_pairs_spectral(ctx: PrimeContext, nu: int, h: int, k: int) -> CountResult:
@@ -60,7 +60,7 @@ def count_product_pairs_spectral(ctx: PrimeContext, nu: int, h: int, k: int) -> 
     p = ctx.p
     # Interval indicator in the index (discrete-log) domain; the per-character
     # sums are then one inverse DFT of length p-1.
-    cnt = np.bincount(ctx.index[interval_powers(k, h, 1, p)[1]], minlength=p - 1)
+    cnt = np.bincount(ctx.index[box_powers(ctx, (k,), h, (1,))[0][0]], minlength=p - 1)
     per_char = (p - 1) * np.fft.ifft(cnt)
     raw = float((np.abs(per_char) ** (2 * nu)).sum() / (p - 1))
     rounded = round(raw)
@@ -79,7 +79,8 @@ def count_monomial_pairs_brute(
     prod (x_j+k_j)^{e_j} mod p. Exact, via frequency table."""
     if len(h) != len(e) or len(k) != len(e):
         raise ValueError("h, k, e dimensions disagree")
-    powers = [interval_powers(k_j, h_j, e_j, ctx.p)[1] for h_j, k_j, e_j in zip(h, k, e.e)]
+    # One kernel call per side: the sides' lengths h_j may differ.
+    powers = [box_powers(ctx, (k_j,), h_j, (e_j,))[0][0] for h_j, k_j, e_j in zip(h, k, e.e)]
     return _pair_count(powers, ctx.p)
 
 

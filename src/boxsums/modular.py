@@ -2,11 +2,11 @@
 
 Provides deterministic primality testing, smallest primitive roots,
 a full discrete-log (index) table per prime with its inverse power table
-and the unit-root tables the characters read (all on `PrimeContext`), monomial evaluation with positive or negative exponents, and the interval
-kernels (points, powers, box products), which reduce corners mod p. The
-counts take powers from `interval_powers`, one built-in `pow` per point (it
-inverts mod p for a negative exponent); sums read them from the index and
-power tables instead (`sums.SumSpec.coordinates`).
+and the unit-root tables the characters read (all on `PrimeContext`), monomial
+evaluation with positive or negative exponents, and the interval kernels, which
+reduce corners mod p: `interval_residues` (points), `box_powers` (x^e as
+g^{e ind x} at the nonzero points, which the sums' coordinates and the counts
+both read) and `monomial_values` (products over a box).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -137,31 +137,26 @@ class ExponentVector:
 
 @dataclass(frozen=True)
 class PrimeContext:
-    """A prime p with its smallest primitive root, full index table, and every
-    other per-prime table, each freed with its context.
+    """A prime p with its smallest primitive root, full index and power tables,
+    and every other per-prime table, each freed with its context.
 
     index[x] = k with g^k = x mod p for x in [1, p-1]; index[0] = -1
     (sentinel) so that character tables can map residue 0 branchlessly.
-    Bytes per residue: `index` 8, built eagerly; on first use, `power` 8
-    (every `SumSpec` reads x^e as g^{e ind x}), `roots` 16, `char_roots` 16
-    and `index_roots` 32. So 80 bytes per residue once all are built, about
-    172 GB at MAX_MODULUS. Immutable after construction (every table is
-    read-only) and safe to share across workers.
+    power[i] = g^i mod p for i in [0, p-2], the inverse of `index`.
+    Bytes per residue: `index` 8 and `power` 8, built with the context; on
+    first use `roots` 16, `char_roots` 16 and `index_roots` 32. So 16 bytes
+    per residue at construction and 80 once all are built, about 172 GB at
+    MAX_MODULUS. Immutable after construction (every table is read-only) and
+    safe to share across workers.
     """
 
     p: int
     g: int
     index: np.ndarray
+    power: np.ndarray
 
     def ind(self, x: int) -> int:
         return int(self.index[x % self.p])
-
-    @cached_property
-    def power(self) -> np.ndarray:
-        """power[i] = g^i mod p for i in [0, p-2], the inverse of `index`; read-only."""
-        power = np.empty(self.p - 1, dtype=np.int64)
-        power[self.index[1:]] = np.arange(1, self.p, dtype=np.int64)
-        return _read_only(power)
 
     @cached_property
     def roots(self) -> np.ndarray:
@@ -193,32 +188,58 @@ def build_context(p: int) -> PrimeContext:
     if p < 3 or not is_prime(p):
         raise NotPrimeError(f"{p} is not an odd prime >= 3")
     g = primitive_root(p)
-    index = np.full(p, -1, dtype=np.int64)
+    # g^i collected in Python lists of at most 2^16 and copied in per chunk:
+    # faster than one numpy item write per step, and O(2^16) extra memory.
+    power = np.empty(p - 1, dtype=np.int64)
     x = 1
-    for k in range(p - 1):
-        index[x] = k
-        x = x * g % p
-    return PrimeContext(p=p, g=g, index=index)
+    for start in range(0, p - 1, 2**16):
+        chunk = []
+        for _ in range(min(2**16, p - 1 - start)):
+            chunk.append(x)
+            x = x * g % p
+        power[start : start + len(chunk)] = chunk
+    index = np.full(p, -1, dtype=np.int64)
+    index[power] = np.arange(p - 1, dtype=np.int64)
+    return PrimeContext(p=p, g=g, index=_read_only(index), power=_read_only(power))
 
 
-def interval_residues(k: int, h: int, p: int) -> np.ndarray:
-    """The points of [k+1, k+h] reduced mod p, for any integer k; 1 <= h < p."""
+def interval_residues(k: Sequence[int], h: int, p: int) -> np.ndarray:
+    """The points of [k_j+1, k_j+h] reduced mod p, one row per corner k_j (any
+    integers: they are reduced in Python first); 1 <= h < p."""
     if not 1 <= h < p:
         raise ValueError(f"need 1 <= h < p, got h={h}, p={p}")
-    return (np.arange(1, h + 1, dtype=np.int64) + k % p) % p
+    return np.add.outer([k_j % p for k_j in k], np.arange(1, h + 1, dtype=np.int64)) % p
 
 
-def interval_powers(k: int, h: int, e: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the points of [k+1, k+h] that are nonzero mod p, and x^e mod p
-    at those points, in interval order; 1 <= h < p. With k reduced mod p the points
-    are k+1..k+h < 2p, so p, at index p-1-k, is the only one that can be 0 mod p."""
-    if not 1 <= h < p:
-        raise ValueError(f"need 1 <= h < p, got h={h}, p={p}")
-    k %= p
-    keep = [True] * h
-    if k + h >= p:
-        keep[p - 1 - k] = False
-    return np.array(keep), np.array([pow(v, e, p) for v in range(k + 1, k + h + 1) if v != p], dtype=np.int64)
+def box_powers(
+    ctx: PrimeContext,
+    k: Sequence[int],
+    h: int,
+    e: Sequence[int],
+    weights: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> tuple[Sequence[np.ndarray], Sequence[np.ndarray] | None]:
+    """Per coordinate j of the box [k_1+1, k_1+h] x ... x [k_n+1, k_n+h], x^{e_j} mod p
+    at its points nonzero mod p in interval order, read as g^{e_j ind x} from the index
+    and power tables in one pass over the n x h residues; with `weights` (the residues
+    to an n x h table), also each coordinate's weights at those points, else None. Rows
+    are read-only; the n x h table itself when no interval holds a multiple of p. The
+    kernel of the sums' coordinates and of every count; 1 <= h < p."""
+    p = ctx.p
+    k = [k_j % p for k_j in k]
+    res = interval_residues(k, h, p)
+    # |e_j * ind x| < 2^31 * p < 2^62; the sentinel ind 0 = -1 picks a power that is dropped below.
+    ind = ctx.index[res]
+    ind *= np.array(e, dtype=np.int64)[:, None]
+    ind %= p - 1
+    tables = [_read_only(ctx.power[ind])] + ([] if weights is None else [_read_only(weights(res))])
+    # With k_j reduced the points are k_j+1..k_j+h < 2p, so p is the one multiple a row can hold.
+    if wraps := [j for j, k_j in enumerate(k) if k_j + h >= p]:
+        keep = res != 0
+        tables = [list(t) for t in tables]
+        for j in wraps:
+            for t in tables:
+                t[j] = _read_only(t[j][keep[j]])
+    return tables[0], tables[1] if weights else None
 
 
 def monomial_values(powers: Sequence[np.ndarray], p: int) -> np.ndarray:

@@ -10,16 +10,16 @@ allocates O(p) for fewer than p entries. The bilinear sum contracts the two
 half boxes' entries; the split character sum folds coordinates 0..n-2 in one
 at a time, merging before each fold, so at most p entries reach each fold and
 the contraction.
-A frozen `SumSpec` builds its coordinates once, read-only, for every evaluator:
-one vectorised pass over the n x h residues reads x^{e_j} as g^{e_j ind x} from
-the context's index and power tables and takes one weight table per spec.
+A frozen `SumSpec` builds its coordinates once, read-only, for every evaluator,
+in one call of the interval kernel `modular.box_powers` (which the counts share)
+with one weight table per spec.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ from .characters import (
     dilated_moments,
 )
 from .errors import DimensionTooSmallError, LambdaDivisibleError
-from .modular import ExponentVector, PrimeContext, monomial_values
+from .modular import ExponentVector, PrimeContext, box_powers, monomial_values
 
 
 def agreement_tolerance(terms: int) -> float:
@@ -140,27 +140,10 @@ class SumSpec:
     def coordinates(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per coordinate j, x^{e_j} mod p and the weights at the points of
         [k_j+1, k_j+h] that are nonzero mod p; both arrays are read-only.
-        All n rows come from one pass over the n x h residues: x^{e_j} is
-        g^{e_j ind x} through the context's index and power tables, and the
-        weights are one n x h table from the weight system."""
-        ctx, h = self.ctx, self.box.h
-        p = ctx.p
-        # Corners reduced in Python, so any integer corner is exact; the points are then k_j+1..k_j+h < 2p.
-        k = [k_j % p for k_j in self.box.k]
-        res = (np.array(k, dtype=np.int64)[:, None] + np.arange(1, h + 1, dtype=np.int64)) % p
-        # |e_j * ind x| < 2^31 * p < 2^62; the sentinel ind 0 = -1 picks a power that is dropped below.
-        pv = ctx.power[np.array(self.e.e, dtype=np.int64)[:, None] * ctx.index[res] % (p - 1)]
-        w = self.weights.coordinate_table(ctx, res)
-        pv.flags.writeable = w.flags.writeable = False
-        data = []
-        for j, k_j in enumerate(k):
-            pv_j, w_j = pv[j], w[j]
-            if k_j + h >= p:  # the point p, at column p-1-k_j, is the one that is 0 mod p
-                keep = res[j] != 0
-                pv_j, w_j = pv_j[keep], w_j[keep]
-                pv_j.flags.writeable = w_j.flags.writeable = False
-            data.append((pv_j, w_j))
-        return tuple(data)
+        Both come from one call of the kernel `modular.box_powers`, which takes
+        the weights from one n x h table of the weight system at its residues."""
+        weights = partial(self.weights.coordinate_table, self.ctx)
+        return tuple(zip(*box_powers(self.ctx, self.box.k, self.box.h, self.e.e, weights)))
 
 
 @dataclass

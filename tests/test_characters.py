@@ -225,8 +225,8 @@ class TestSpectrumAt:
         dist = self._dist(p, supp)
         at = np.random.default_rng(2).integers(0, p, size=characters.support_sum_limit(p, supp))
         calls = _fft_calls(monkeypatch)
-        # A fresh context, so the count takes in the tables the support sum builds: power, roots and E.
-        assert not {"power", "roots", "index_roots"} & dist.ctx.__dict__.keys()
+        # A fresh context, so the count takes in the tables the support sum builds: roots and E.
+        assert not {"roots", "index_roots"} & dist.ctx.__dict__.keys()
         tracemalloc.start()
         try:
             additive_spectrum(dist, at=at)
@@ -445,7 +445,7 @@ def test_context_tables_are_freed_with_their_context():
             dist = ResidueDistribution(ctx, np.arange(1, 31), np.ones(30, dtype=complex))
             additive_spectrum(dist, at=np.arange(1, 101))
             char_interval_sum(MultChar(ctx, 1), k=0, h=20, u=3, lam=1)
-            assert {"power", "roots", "char_roots", "index_roots"} <= ctx.__dict__.keys()
+            assert {"roots", "char_roots", "index_roots"} <= ctx.__dict__.keys()
         del contexts, ctx, dist
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]

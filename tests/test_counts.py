@@ -183,6 +183,42 @@ class TestMonomialPairsBrute:
             got = count_monomial_pairs_brute(ctx7, ExponentVector(e), (3, 4), (0, 1))
             assert got.value == slow(e, (3, 4), (0, 1))
 
+    @staticmethod
+    def _pow_oracle(p, e, h, k):
+        """Pairs with equal nonzero values by a double loop over Python's `pow`, which inverts mod p."""
+        vals = []
+        for x in itertools.product(*(range(1, hj + 1) for hj in h)):
+            r = [(xj + kj) % p for xj, kj in zip(x, k)]
+            if 0 not in r:
+                vals.append(math.prod(pow(rj, ej, p) for rj, ej in zip(r, e)) % p)
+        return sum(1 for a in vals for b in vals if a == b)
+
+    @pytest.mark.parametrize("p", [5, 13, 101])
+    def test_matches_pow_oracle_at_huge_corners_and_exponents(self, p):
+        ctx = build_context(p)
+        big = 2**31 - 1
+        corners = ((2**64 + 3, -(2**64) - 7), (-(2**70) + p - 2, 2**65 * p + 1), (-1, p * 2**64))
+        for e in ((big, -big), (-big, 1), (2, big)):
+            for k in corners:
+                for h in ((3, 4), (min(p - 1, 6), 1)):
+                    got = count_monomial_pairs_brute(ctx, ExponentVector(e), h, k).value
+                    assert got == self._pow_oracle(p, e, h, k), (p, e, h, k)
+
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_multiple_of_p_at_every_position(self, p):
+        ctx = build_context(p)
+        for h in (1, 2, p - 1):
+            for i in range(h):
+                k = -1 - i  # the point p of [k+1, k+h] sits at position i
+                for e in ((1, -1), (3, 2)):
+                    box_k = (k, k + 2 * p)
+                    got = count_monomial_pairs_brute(ctx, ExponentVector(e), (h, h), box_k).value
+                    assert got == self._pow_oracle(p, e, (h, h), box_k), (p, h, i, e)
+                for nu in (1, 2):
+                    want = _oracle_product_pairs(p, nu, h, k)
+                    assert count_product_pairs_brute(ctx, nu, h, k).value == want
+                    assert count_product_pairs_spectral(ctx, nu, h, k).value == want
+
 
 class TestProductInequality:
     def test_unit_exponents_equality(self, ctx7):

@@ -461,19 +461,18 @@ class TestVerifySuite:
 
     def test_monomial_check_catches_coordinate_fault(self, monkeypatch):
         from boxsums import verify as verify_mod
-        from boxsums.sums import SumSpec
 
-        real = SumSpec.coordinates.func
+        real = verify_mod.box_powers
 
-        def corrupted(spec):
-            data = real(spec)
-            if spec.e.e != (1, -2, 2):
-                return data
-            pv = data[1][0].copy()
-            pv[4] = (pv[4] + 1) % spec.ctx.p  # the point x_2 = 5
-            return (data[0], (pv, data[1][1]), data[2])
+        def corrupted(ctx, k, h, e):
+            pv, w = real(ctx, k, h, e)
+            if tuple(e) == (1, -2, 2):
+                pv = list(pv)
+                pv[1] = pv[1].copy()
+                pv[1][4] = (pv[1][4] + 1) % ctx.p  # the point x_2 = 5
+            return pv, w
 
-        monkeypatch.setattr(SumSpec, "coordinates", property(corrupted))
+        monkeypatch.setattr(verify_mod, "box_powers", corrupted)
         result = verify_mod.CHECKS["monomial-factor-agreement"](verify_mod.VerifyGrid(primes=(11,)), None)
         assert not result.passed
         assert result.instances == 4 * 10 + 16 * 100 + 64 * 1000
@@ -710,6 +709,13 @@ class TestCli:
             assert cli.main(argv.split()) == 2, argv
         assert capsys.readouterr().err.count("config error:") == 8
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("extra", [[], ["--char-index", "1"]])
+    def test_split_method_on_one_coordinate_is_a_config_error(self, capsys, extra):
+        argv = ["sum", "--p", "7", "--h", "3", "--e", "1", "--k", "0", *extra]
+        assert cli.main([*argv, "--method", "split"]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert cli.main([*argv, "--method", "naive"]) == 0
 
     def test_sweep_rejects_fixed_lambda_dividing_a_skipped_prime(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -15,8 +15,8 @@ from boxsums.errors import (
 )
 from boxsums.modular import (
     ExponentVector,
+    box_powers,
     build_context,
-    interval_powers,
     interval_residues,
     inv_mod,
     is_prime,
@@ -145,11 +145,21 @@ class TestBuildContext:
     def test_power_inverts_index(self, p):
         ctx = build_context(p)
         power = ctx.power
-        assert power.shape == (p - 1,) and not power.flags.writeable
+        assert power.shape == (p - 1,) and power.dtype == np.int64
         assert power[0] == 1 and power[1 % (p - 1)] == ctx.g % p
+        assert power.tolist() == [pow(ctx.g, i, p) for i in range(p - 1)]
         assert np.array_equal(power[ctx.index[1:]], np.arange(1, p))
         assert np.array_equal(ctx.index[power], np.arange(p - 1))
-        assert ctx.power is power  # built once per context
+
+    @pytest.mark.parametrize("p", [3, 7, 101])
+    def test_index_and_power_are_read_only(self, p):
+        ctx = build_context(p)
+        for name in ("index", "power"):
+            table = getattr(ctx, name)
+            before = table.copy()
+            with pytest.raises(ValueError):
+                table[1] = 0
+            assert np.array_equal(table, before)
 
     @pytest.mark.parametrize("p", [3, 5, 101, 10007])
     def test_root_tables_match_their_formulas(self, p):
@@ -221,47 +231,72 @@ class TestMonomialEval:
 
 
 class TestIntervalKernels:
+    """`box_powers`, the kernel of the sums' coordinates and of the counts, against `pow_mod`."""
+
     @pytest.mark.parametrize("p", [5, 101, 10007])
     @pytest.mark.parametrize("e_abs", [1, 2, "p-2", "p-1", "p", 2**31 - 1])
     def test_powers_match_per_element_pow_mod(self, p, e_abs):
+        ctx = build_context(p)
         e_abs = {"p-2": p - 2, "p-1": p - 1, "p": p}.get(e_abs, e_abs)
-        for e in (e_abs, -e_abs):
-            for k in (0, -5, p - 3, p * 2**70 + 3):
-                for h in (1, 7, p - 1):
-                    if h >= p:
-                        continue
-                    x = [(k + i) % p for i in range(1, h + 1)]
-                    keep, got = interval_powers(k, h, e, p)
-                    assert np.array_equal(keep, np.array([v != 0 for v in x]))
-                    want = np.array([pow_mod(v, e, p) for v in x if v != 0], dtype=np.int64)
-                    assert np.array_equal(got, want), (p, e, k, h)
+        corners = (0, -5, p - 3, p * 2**70 + 3)
+        for h in (1, 7, p - 1):
+            if h >= p:
+                continue
+            # All four corners in one call, with e and -e alternating over the rows.
+            e = [e_abs * (-1) ** j for j in range(len(corners))]
+            got, no_weights = box_powers(ctx, corners, h, e)
+            assert no_weights is None and len(got) == len(corners)
+            for j, (k, e_j) in enumerate(zip(corners, e)):
+                x = [(k + i) % p for i in range(1, h + 1)]
+                want = np.array([pow_mod(v, e_j, p) for v in x if v != 0], dtype=np.int64)
+                assert np.array_equal(got[j], want), (p, e_j, k, h)
 
     @pytest.mark.parametrize("p", [5, 13, 101])
     @pytest.mark.parametrize("e", [1, -1, 3, -(2**31 - 1)])
     def test_mask_at_each_position_of_the_multiple(self, p, e):
+        ctx = build_context(p)
         for h in (1, 2, p // 2, p - 1):
             # Offsets r = k mod p putting the multiple of p at index 0 (k = -1),
             # at index h-1 (k = -h), at an interior index, and outside.
             for r in {p - 1, p - h, p - 1 - h // 2, 0, p - h - 1}:
                 for k in (r, r - p, p * 2**70 + r):
-                    keep, got = interval_powers(k, h, e, p)
-                    x = interval_residues(k, h, p)
-                    assert keep.dtype == bool and keep.shape == (h,)
-                    assert np.array_equal(keep, x != 0), (p, h, k)
+                    # The residues themselves as weights show which points the kernel keeps.
+                    (got,), (kept,) = box_powers(ctx, (k,), h, (e,), lambda res: res.astype(float))
+                    x = interval_residues((k,), h, p)[0]
+                    assert kept.tolist() == [v for v in x if v != 0], (p, h, k)
                     want = [pow_mod(int(v), e, p) for v in x if v != 0]
                     assert got.dtype == np.int64 and got.tolist() == want, (p, e, h, k)
-            assert not interval_powers(-1, h, e, p)[0][0]
-            assert not interval_powers(-h, h, e, p)[0][h - 1]
-            assert interval_powers(0, h, e, p)[0].all()
+                    assert not got.flags.writeable and not kept.flags.writeable
+            # The multiple of p sits at every position of one interval in turn, each row its own corner.
+            corners = [-1 - i for i in range(h)]
+            got, kept = box_powers(ctx, corners, h, [e] * h, lambda res: res.astype(float))
+            for i, (k, pv, kept_i) in enumerate(zip(corners, got, kept)):
+                x = interval_residues((k,), h, p)[0]
+                assert x[i] == 0 and kept_i.tolist() == [v for v in x if v != 0]
+                assert pv.tolist() == [pow_mod(int(v), e, p) for v in x if v != 0], (p, e, h, i)
+            assert np.count_nonzero(interval_residues((0,), h, p)) == h
 
     @pytest.mark.parametrize("p", [5, 13, 101])
     def test_monomial_values_one_factor(self, p):
-        a = interval_powers(3, p - 2, -2, p)[1]
+        a = box_powers(build_context(p), (3,), p - 2, (-2,))[0][0]
         assert np.array_equal(monomial_values([a], p), a)
 
     @pytest.mark.parametrize("p", [5, 13, 101])
     @pytest.mark.parametrize("nu", [1, 2, 3])
     def test_monomial_values_repeated_factor(self, p, nu):
-        a = interval_powers(-7, min(p - 1, 12), 1, p)[1]
+        a = box_powers(build_context(p), (-7,), min(p - 1, 12), (1,))[0][0]
         want = [math.prod(t) % p for t in itertools.product(a.tolist(), repeat=nu)]
         assert monomial_values([a] * nu, p).tolist() == want
+
+    @pytest.mark.parametrize("p", [5, 13, 101])
+    def test_weights_share_the_mask_and_only_rows_holding_p_are_copied(self, p):
+        ctx = build_context(p)
+        table = np.arange(9, dtype=float).reshape(3, 3)
+        pv, w = box_powers(ctx, (0, -1, 1), 3, (1, 2, -1), lambda r: table + 0)
+        assert [len(row) for row in pv] == [len(row) for row in w] == [3, 2, 3]
+        assert w[1].tolist() == [4.0, 5.0]  # the multiple of p at column 0 of row 1 is dropped with its weight
+        assert pv[0].base is pv[2].base is not None and pv[1].base is None
+        assert w[0].base is w[2].base is not None and w[1].base is None
+        for row in (*pv, *w):
+            with pytest.raises(ValueError):
+                row[0] = 1
