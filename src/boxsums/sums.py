@@ -4,12 +4,13 @@ Every sum excludes tuples with a coordinate congruent to 0 mod p.
 Each evaluator has a naive enumeration path plus a split path that
 factors the sum through partial monomial values; the split paths are
 cross-checked against the naive ones to within tau = 1e-9*(1+terms). Partial
-monomial values are held as (value, mass) entries, merged by residue (an
-unbuffered add into a length-p array) only when they outnumber p, so no path
-allocates O(p) for fewer than p entries. The bilinear sum contracts the two
-half boxes' entries; the split character sum folds coordinates 0..n-2 in one
-at a time, merging before each fold, so at most p entries reach each fold and
-the contraction.
+monomial values are held as (value, mass) entries. The bilinear sum contracts
+the entries of the two half boxes' distributions, each merged by residue (an
+unbuffered add into a length-p array) only when they outnumber p. The split
+character sum folds coordinates 0..n-2 in one at a time: on entries while
+they number at most `dense_fold_limit(p)` (half of p-1), then on one dense
+array over the index domain, where each fold and the contraction are
+rotations, since ind(u*x^e) = ind u + ind x^e.
 A frozen `SumSpec` builds its coordinates once, read-only, for every evaluator,
 in one call of the interval kernel `modular.box_powers` (which the counts share)
 with one weight table per spec.
@@ -238,22 +239,63 @@ def _merged(u: np.ndarray, mass: np.ndarray, p: int) -> tuple[np.ndarray, np.nda
     return u, dense[u]
 
 
+def dense_fold_limit(p: int) -> int:
+    """The most (value, mass) entries that character_sum_split folds as entries;
+    past it the fold runs on a dense length-(p-1) array over indices. A dense
+    step costs one rotation of p-1 values per point, plus a fixed cost per
+    rotation, against one gather per (entry, point) pair. Timed crossovers,
+    in entries at the contraction over p-1 (n = 2 and 3): 0.1-0.3 at
+    p = 10007, about 1/2 at p = 1009, above 1 at p <= 101, where the fixed
+    cost dominates. Half of p-1 sits between them, and below p entries the
+    sparse side never needs a merge by residue."""
+    return (p - 1) // 2
+
+
+def _rotations(a: np.ndarray, shifts: np.ndarray) -> list[np.ndarray]:
+    """a rotated left by each shift s in [0, len(a)], a[(i + s) mod len(a)] over i,
+    as slices of a tiled twice."""
+    m = len(a)
+    twice = np.concatenate((a, a))
+    return [twice[s : s + m] for s in shifts]
+
+
 def character_sum_split(spec: SumSpec, chi: MultChar) -> SumResult:
     """Evaluation through the leading n-1 coordinates:
     sum_u mass(u) * sum_x rho_n(x) chi(u * x^{e_n} + lam), over the entries
     (u, mass) of a fold that multiplies in one coordinate's values and weights
-    at a time and merges its entries by residue whenever they outnumber p."""
+    at a time.
+
+    While the entries number at most dense_fold_limit(p) the fold stays on
+    entries, and the contraction is dilated_char_sums over them. Past it the
+    entries are summed once into a dense D[ind u] of length p-1. Since
+    ind(u * x^e) = ind u + ind x^e, folding in a coordinate is
+    D[i] <- sum_x w(x) D[i - ind x^e], and the value is
+    sum_x rho_n(x) sum_i D[i] K[i + ind x^{e_n}] with K[i] = chi(g^i + lam),
+    indices mod p-1: every step a rotation, with no `% p` and no merge.
+    """
     if spec.n < 2:
         raise DimensionTooSmallError("split path needs n >= 2")
-    p = spec.ctx.p
+    ctx, p = spec.ctx, spec.ctx.p
+    limit = dense_fold_limit(p)
     (u, mass), *rest, (pv, w) = spec.coordinates
-    for pv_j, w_j in rest:
-        u, mass = _merged(u, mass, p)
+    while rest and len(u) <= limit:
+        (pv_j, w_j), *rest = rest
         # The new coordinate varies slowest: long rows run faster than h-long ones.
         u, mass = np.multiply.outer(pv_j, u).ravel() % p, np.multiply.outer(w_j, mass).ravel()
-    u, mass = _merged(u, mass, p)
-    value = complex(mass @ dilated_char_sums(chi, u, pv, spec.lam, w))
-    return SumResult(value=value, terms=_terms(spec), method="split")
+    if len(u) <= limit:
+        value = mass @ dilated_char_sums(chi, u, pv, spec.lam, w)
+    else:
+        d = np.zeros(p - 1, dtype=np.complex128)
+        np.add.at(d, ctx.index[u], mass)
+        for pv_j, w_j in rest:
+            # D[i - s] over i is D rotated left by p-1-s.
+            rotated = _rotations(d, p - 1 - ctx.index[pv_j])
+            d = np.zeros(p - 1, dtype=np.complex128)
+            for w_x, d_x in zip(w_j, rotated):
+                d += w_x * d_x
+        table = np.take(chi.table(), ctx.power + spec.lam, mode="wrap")
+        value = w @ [t_x @ d for t_x in _rotations(table, ctx.index[pv])]
+    return SumResult(value=complex(value), terms=_terms(spec), method="split")
 
 
 def cauchy_majorant(spec: SumSpec) -> float:

@@ -18,7 +18,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from functools import wraps
 from typing import Callable, Iterable
 
 import numpy as np
@@ -27,7 +27,7 @@ from . import bounds, characters, counts, sums
 from .characters import MultChar, ResidueDistribution
 from .errors import ConfigInvalidError, OutOfRangeError
 from .modular import (
-    ExponentVector, box_powers, build_context, inv_mod, monomial_eval, monomial_values, pow_mod
+    ExponentVector, PrimeContext, box_powers, build_context, inv_mod, monomial_eval, monomial_values, pow_mod
 )
 from .sampling import WEIGHT_KINDS, draw_coprime_lambda, draw_spec, substream
 from .sums import Box, SumSpec, UnitWeights, agreement_tolerance
@@ -41,14 +41,9 @@ CAUCHY_TRIALS = 1000
 HOLDER_TRIALS = 500
 
 
-@lru_cache(maxsize=None)
-def _ctx(p: int):
-    return build_context(p)
-
-
 @dataclass
 class VerifyGrid:
-    """Grid parameters shared by the checks."""
+    """Grid parameters shared by the checks, and the prime contexts they build."""
 
     primes: tuple[int, ...] = DEFAULT_PRIMES
     ns: tuple[int, ...] = (2, 3, 4)
@@ -56,9 +51,16 @@ class VerifyGrid:
     trials: int = 20
     seed: int = 0
     exponent_pool: tuple[int, ...] = (-2, -1, 1, 2)
+    contexts: dict[int, PrimeContext] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def hs_for(self, p: int) -> list[int]:
         return sorted({h for h in self.hs if 1 <= h < p})
+
+    def ctx(self, p: int) -> PrimeContext:
+        """The context of p, built once per grid, so freed with the grid (one per run)."""
+        if p not in self.contexts:
+            self.contexts[p] = build_context(p)
+        return self.contexts[p]
 
 
 @dataclass
@@ -171,7 +173,7 @@ def _check_pow_neg(grid: VerifyGrid, store, out: CheckResult) -> None:
 @check("index-bijection")
 def _check_index(grid: VerifyGrid, store, out: CheckResult) -> None:
     for p in grid.primes:
-        ctx = _ctx(p)
+        ctx = grid.ctx(p)
         seen = sorted(int(v) for v in ctx.index[1:])
         out.add(0.0, seen != list(range(p - 1)) and f"index not a bijection for p={p}", instances=0)
         for k in range(p - 1):
@@ -195,7 +197,7 @@ def _check_monomial(grid: VerifyGrid, store, out: CheckResult) -> None:
     """The interval kernel that sums and counts run (`box_powers`), through `monomial_values`,
     and `monomial_eval`, at each tuple of [1, p-1]^n, against products of tabulated `_slow_pow`."""
     for p in [q for q in grid.primes if q <= 13]:
-        ctx = _ctx(p)
+        ctx = grid.ctx(p)
         oracle = {ej: [_slow_pow(x, ej, p) for x in range(1, p)] for ej in (-2, -1, 1, 2)}
         for n in (1, 2, 3):
             for e in itertools.product(oracle, repeat=n):
@@ -221,7 +223,7 @@ def _check_monomial(grid: VerifyGrid, store, out: CheckResult) -> None:
 @check("additive-char-homomorphism")
 def _check_additive_hom(grid: VerifyGrid, store, out: CheckResult) -> None:
     for p in grid.primes:
-        ctx = _ctx(p)
+        ctx = grid.ctx(p)
         vals = np.array([characters.additive_char(ctx, z) for z in range(p)])
         mod_res = float(np.abs(np.abs(vals) - 1).max())
         out.add(mod_res, mod_res > 1e-12 and f"|e_p(z)| != 1 at p={p}", instances=0)
@@ -235,7 +237,7 @@ def _check_additive_hom(grid: VerifyGrid, store, out: CheckResult) -> None:
 @check("mult-char-multiplicative")
 def _check_mult_char(grid: VerifyGrid, store, out: CheckResult) -> None:
     for p in [q for q in grid.primes if q <= 31]:
-        ctx = _ctx(p)
+        ctx = grid.ctx(p)
         for a in {1, 2, (p - 1) // 2, p - 2}:
             chi = MultChar(ctx, a)
             t = chi.table()
@@ -250,7 +252,7 @@ def _check_mult_char(grid: VerifyGrid, store, out: CheckResult) -> None:
 @check("char-orthogonality")
 def _check_orthogonality(grid: VerifyGrid, store, out: CheckResult) -> None:
     for p in grid.primes:
-        ctx = _ctx(p)
+        ctx = grid.ctx(p)
         m = p - 1
         a = np.arange(m)
         for x in range(1, p):
@@ -263,7 +265,7 @@ def _check_orthogonality(grid: VerifyGrid, store, out: CheckResult) -> None:
 def _random_dists(grid: VerifyGrid, tag: int):
     """Five random complex distributions per grid prime, each from substream(seed, p, tag, i)."""
     for p in grid.primes:
-        ctx = _ctx(p)
+        ctx = grid.ctx(p)
         for i in range(5):
             rng = substream(grid.seed, p, tag, i)
             yield p, i, ResidueDistribution.from_values(ctx, rng.normal(size=p) + 1j * rng.normal(size=p))
@@ -292,7 +294,7 @@ def _check_spectrum_methods(grid: VerifyGrid, store, out: CheckResult) -> None:
 @check("char-moment-direct-recount")
 def _check_char_moment_recount(grid: VerifyGrid, store, out: CheckResult) -> None:
     for p in [q for q in grid.primes if 7 <= q <= 31]:
-        ctx = _ctx(p)
+        ctx = grid.ctx(p)
         for i in range(5):
             rng = substream(grid.seed, p, 9003, i)
             a = int(rng.integers(1, p - 1))
@@ -332,7 +334,7 @@ def _cell_specs(grid: VerifyGrid, tag: int, trials: int, kind: str | None = None
     """(p, n, h, trial, spec, rng) for each cell and trial, drawn from
     substream(seed, p, n, h, trial + tag); the weight kind cycles unless given."""
     for p, n, h in _iter_cells(grid):
-        ctx = _ctx(p)
+        ctx = grid.ctx(p)
         for trial in range(trials):
             rng = substream(grid.seed, p, n, h, trial + tag)
             weights = kind or WEIGHT_KINDS[trial % len(WEIGHT_KINDS)]
@@ -392,7 +394,7 @@ def _random_spec_stream(grid: VerifyGrid, tag: int, trials: int):
     for trial in range(trials):
         rng = substream(grid.seed, tag, trial)
         p = grid.primes[int(rng.integers(0, len(grid.primes)))]
-        ctx = _ctx(p)
+        ctx = grid.ctx(p)
         n = int(rng.integers(2, 5))
         h = int(rng.integers(1, min(p, 9)))
         kind = WEIGHT_KINDS[trial % len(WEIGHT_KINDS)]
@@ -422,7 +424,7 @@ def _check_holder(grid: VerifyGrid, store, out: CheckResult) -> None:
 @check("kloosterman-specialization")
 def _check_kloosterman(grid: VerifyGrid, store, out: CheckResult) -> None:
     for p, n, h in _iter_cells(grid):
-        ctx = _ctx(p)
+        ctx = grid.ctx(p)
         rng = substream(grid.seed, p, n, h, 60_000)
         box = Box(tuple(int(v) for v in rng.integers(0, p, size=n)), h)
         lam = draw_coprime_lambda(rng, p)
@@ -441,7 +443,7 @@ _COUNT_PRIMES = (5, 7, 11, 13, 31)
 @check("count-identity")
 def _check_count_identity(grid: VerifyGrid, store, out: CheckResult) -> None:
     for p in _COUNT_PRIMES:
-        ctx = _ctx(p)
+        ctx = grid.ctx(p)
         for nu in (1, 2, 3):
             for h in range(3, min(9, p)):
                 for k in (0, 1, -1, p // 2):
@@ -450,10 +452,10 @@ def _check_count_identity(grid: VerifyGrid, store, out: CheckResult) -> None:
                     out.add(0.0, spectral.value != brute and f"identity broken: p={p}, nu={nu}, h={h}, k={k}")
 
 
-def _count_groups():
+def _count_groups(grid: VerifyGrid):
     """(ctx, nu, k, hs) per group of the count checks' grid; h runs inside a group."""
     for p in _COUNT_PRIMES:
-        ctx = _ctx(p)
+        ctx = grid.ctx(p)
         for nu in (1, 2, 3):
             for k in (0, 1, -1, p // 2):
                 yield ctx, nu, k, range(1, min(9, p))
@@ -461,7 +463,7 @@ def _count_groups():
 
 @check("count-monotone-h")
 def _check_count_monotone(grid: VerifyGrid, store, out: CheckResult) -> None:
-    for ctx, nu, k, hs in _count_groups():
+    for ctx, nu, k, hs in _count_groups(grid):
         prev = -1
         for h in hs:
             v = counts.count_product_pairs_brute(ctx, nu, h, k).value
@@ -471,7 +473,7 @@ def _check_count_monotone(grid: VerifyGrid, store, out: CheckResult) -> None:
 
 @check("count-diagonal-lower")
 def _check_count_diagonal(grid: VerifyGrid, store, out: CheckResult) -> None:
-    for ctx, nu, k, hs in _count_groups():
+    for ctx, nu, k, hs in _count_groups(grid):
         p = ctx.p
         for h in hs:
             v = counts.count_product_pairs_brute(ctx, nu, h, k).value
@@ -484,7 +486,7 @@ def _check_product_inequality(grid: VerifyGrid, store, out: CheckResult) -> None
     plain_violations = 0
     pool = [e for e in range(-3, 4) if e != 0]
     for p in (5, 7, 11, 13):
-        ctx = _ctx(p)
+        ctx = grid.ctx(p)
         # The plain counts I_j for nu = 2, once per side (h_j, k_j) of this p.
         plain = {(h_j, k_j): counts.count_product_pairs_brute(ctx, 2, h_j, k_j).value
                  for h_j in (3, 4, 5) if h_j < p for k_j in (0, 1)}
@@ -505,7 +507,7 @@ def count_growth_ratios(nu: int) -> list[float]:
     """Counts over bounds.count_growth_majorant on the count-growth/nu calibration grid."""
     ratios = []
     for p in _COUNT_PRIMES + (101,):
-        ctx = _ctx(p)
+        ctx = build_context(p)
         for h in range(3, min(9, p)):
             for k in (0, 1, -1):
                 v = counts.count_product_pairs_brute(ctx, nu, h, k).value

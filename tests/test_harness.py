@@ -593,6 +593,24 @@ class TestVerifySuite:
         result = CHECKS["bound-monotone-h"](VerifyGrid(), None)
         assert result.failures == ["s-all, n=4, p=1009, h=45: bound decreased"]
 
+    def test_contexts_built_per_run(self, monkeypatch):
+        from boxsums import verify as verify_mod
+
+        built = []
+
+        def counting(p):
+            built.append(p)
+            return build_context(p)
+
+        monkeypatch.setattr(verify_mod, "build_context", counting)
+        cfg = ExperimentConfig(mode="verify", primes=[5], trials=1, seed=0)
+        for _ in range(2):
+            built.clear()
+            run_verify(cfg, emit=lambda line: None)
+            # Each grid and count prime once for the run's checks (5 is both), and each
+            # count-growth prime once more per nu, since count_growth_ratios builds its own.
+            assert collections.Counter(built) == {5: 3, 7: 3, 11: 3, 13: 3, 31: 3, 101: 2}
+
     def test_empty_prime_list_rejected(self):
         cfg = ExperimentConfig(mode="verify", primes=[], trials=2, seed=0)
         with pytest.raises(ConfigInvalidError):

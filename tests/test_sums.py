@@ -341,19 +341,36 @@ class TestSupportRestriction:
 
 
 class TestSplitFold:
-    """character_sum_split folds coordinates 0..n-2 and merges its entries by
-    residue whenever they outnumber p, before each fold and before the contraction."""
+    """character_sum_split folds coordinates 0..n-2 on (value, mass) entries while
+    they number at most dense_fold_limit(p), then on one dense array over the
+    index domain, where each later fold point, the contraction too, is a sum of
+    rotations."""
 
-    # (n, h, outnumber): at p = 31, whether the entries outnumber p at each merge point.
+    # (n, h, outnumber): at p = 31 (limit 15), whether the entries outnumber the
+    # limit at each fold point (coordinates 1..n-1), that is, whether it runs dense.
     CASES = [
         (2, 5, [False]),
-        (2, 30, [False]),
-        (3, 5, [False, False]),
+        (2, 30, [True]),
+        (3, 5, [False, True]),
         (3, 10, [False, True]),
-        (5, 2, [False, False, False, False]),
-        (5, 3, [False, False, False, True]),
+        (5, 2, [False, False, False, True]),
+        (5, 3, [False, False, True, True]),
         (5, 6, [False, True, True, True]),
+        (3, 16, [True, True]),
+        (4, 2, [False, False, False]),
     ]
+    # The same at p = 1009 (limit 504): dense at the contraction only, from the
+    # middle of the fold, from the first fold, and never.
+    CASES_1009 = [
+        (2, 600, [True]),
+        (3, 30, [False, True]),
+        (4, 23, [False, True, True]),
+        (5, 8, [False, False, True, True]),
+        (3, 505, [True, True]),
+        (4, 7, [False, False, False]),
+    ]
+    # Above this many terms (505^3 at p = 1009) only the dense contraction checks the split.
+    NAIVE_TERMS = 10**6
 
     @staticmethod
     def _dense_contraction(spec, chi):
@@ -363,39 +380,48 @@ class TestSplitFold:
         u = np.arange(p, dtype=np.int64)
         return d0 @ (chi.table()[(np.outer(u, pv) + spec.lam) % p] @ w)
 
-    @pytest.mark.parametrize("n, h, outnumber", CASES)
-    def test_agrees_with_naive_and_dense(self, n, h, outnumber, monkeypatch):
+    def _check(self, p, n, h, outnumber, monkeypatch):
         from boxsums import sums
 
-        seen, merged = [], sums._merged
+        rotations, calls = sums._rotations, []
 
-        def spy(u, mass, p):
-            seen.append(len(u) > p)
-            out = merged(u, mass, p)
-            if len(u) > p:  # merged: distinct residues, so at most p entries
-                assert len(np.unique(out[0])) == len(out[0]) <= p
-            return out
+        def spy(a, shifts):
+            assert len(a) == p - 1
+            calls.append(len(shifts))
+            return rotations(a, shifts)
 
-        monkeypatch.setattr(sums, "_merged", spy)
-        ctx = build_context(31)
-        k = (0,) * n if h == 30 else tuple(2 * j for j in range(n))
+        monkeypatch.setattr(sums, "_rotations", spy)
+        ctx = build_context(p)
+        k = (0,) * n if h == p - 1 else tuple(2 * j for j in range(n))
         weights = (
             UnitWeights(),
             PhaseWeights([3 * j + 1 for j in range(n)]),
             TableWeights([[0.6 + 0.8j if x % 3 else -0.5 for x in range(h)]] * n),
         )
         for trial, rho in enumerate(weights):
-            spec = _spec(ctx, k, h, (2, -1, 1, 3, -2)[:n], rho, lam=5 + trial)
-            for a in (0, 7, 15):
-                chi = MultChar(ctx, a)
-                seen.clear()
-                fast = character_sum_split(spec, chi)
-                assert seen == outnumber
-                naive = character_sum_naive(spec, chi)
-                assert fast.terms == naive.terms == h**n
-                tol = agreement_tolerance(naive.terms)
-                assert abs(fast.value - naive.value) < tol
-                assert abs(fast.value - self._dense_contraction(spec, chi)) < tol
+            for lam in (0, 5 + trial):
+                spec = _spec(ctx, k, h, (2, -1, 1, 3, -2)[:n], rho, lam=lam)
+                for a in (0, 7, (p - 1) // 2):
+                    chi = MultChar(ctx, a)
+                    calls.clear()
+                    fast = character_sum_split(spec, chi)
+                    # One rotation per point of each fold point that runs dense.
+                    assert calls == [h] * sum(outnumber)
+                    assert fast.terms == h**n
+                    tol = agreement_tolerance(fast.terms)
+                    assert abs(fast.value - self._dense_contraction(spec, chi)) < tol
+                    if h**n <= self.NAIVE_TERMS:
+                        naive = character_sum_naive(spec, chi)
+                        assert naive.terms == fast.terms
+                        assert abs(fast.value - naive.value) < tol
+
+    @pytest.mark.parametrize("n, h, outnumber", CASES)
+    def test_agrees_with_naive_and_dense(self, n, h, outnumber, monkeypatch):
+        self._check(31, n, h, outnumber, monkeypatch)
+
+    @pytest.mark.parametrize("n, h, outnumber", CASES_1009)
+    def test_agrees_with_naive_and_dense_at_1009(self, n, h, outnumber, monkeypatch):
+        self._check(1009, n, h, outnumber, monkeypatch)
 
 
 @pytest.fixture(scope="module")
