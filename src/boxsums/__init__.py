@@ -32,6 +32,7 @@ from .counts import (
     product_inequality_report,
 )
 from .modular import (
+    Box,
     ExponentVector,
     PrimeContext,
     build_context,
@@ -42,7 +43,6 @@ from .modular import (
     primitive_root,
 )
 from .sums import (
-    Box,
     PhaseWeights,
     SumResult,
     SumSpec,

@@ -178,7 +178,12 @@ def dilated_char_sums(chi: MultChar, u, x: np.ndarray, lam: int, w: np.ndarray) 
     p = ctx.p
     x, lam = np.asarray(x, dtype=np.int64) % p, lam % p
     c = ctx.power[(ctx.index[lam] - ctx.index[x]) % (p - 1)] if lam else np.zeros_like(x)
-    out = np.take(table, np.add.outer(np.asarray(u % p, dtype=np.int64), c), mode="wrap") @ (w * table[x])
+    wx, us = w * table[x], np.asarray(u % p, dtype=np.int64)
+    # Blocks of <= max(p, 2^16) (u, x) pairs keep memory O(p) whatever the numbers of u and x are.
+    rows = max(1, max(p, 2**16) // max(1, len(x)))
+    blocks = [us] if us.size <= rows else [us[i : i + rows] for i in range(0, len(us), rows)]
+    out = [np.take(table, np.add.outer(b, c), mode="wrap") @ wx for b in blocks]
+    out = out[0] if len(out) == 1 else np.concatenate(out)
     return out if x.all() else out + w[x == 0].sum() * table[lam]
 
 
@@ -193,11 +198,7 @@ def dilated_moments(chi: MultChar, x: np.ndarray, lam: int, w: np.ndarray, order
         raise LambdaDivisibleError("lam must be coprime to p")
     if any(r < 1 for r in orders):
         raise ValueError("moment order r must be >= 1")
-    # Blocks of <= max(p, 2^16) (u, x) pairs keep memory O(p) whatever len(x) is.
-    u, rows = np.arange(1, p, dtype=np.int64), max(1, max(p, 2**16) // max(1, len(x)))
-    inner = np.empty(p - 1)
-    for i in range(0, p - 1, rows):
-        inner[i : i + rows] = np.abs(dilated_char_sums(chi, u[i : i + rows], x, lam, w))
+    inner = np.abs(dilated_char_sums(chi, np.arange(1, p, dtype=np.int64), x, lam, w))
     return [float((inner ** (2 * r)).sum()) for r in orders]
 
 

@@ -27,8 +27,8 @@ from .harness import (
     write_records_csv,
     write_records_json,
 )
-from .modular import ExponentVector, build_context
-from .sums import Box, PhaseWeights, SumSpec, TableWeights, UnitWeights
+from .modular import Box, ExponentVector, build_context
+from .sums import PhaseWeights, SumSpec, TableWeights, UnitWeights
 from .verify import DEFAULT_PRIMES, run_verify
 
 EXIT_OK = 0
@@ -226,11 +226,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
         if args.nu is not None:
             raise ConfigInvalidError("--nu is the tuple length of a plain count; --e sets the dimension")
         es = _int_list(args.e)
-        if len(ks) == 1 and len(es) > 1:
-            ks = ks * len(es)
-        if len(hs) == 1 and len(es) > 1:
-            hs = hs * len(es)
-        result = counts.count_monomial_pairs_brute(ctx, ExponentVector(tuple(es)), hs, ks)
+        # One --k is every corner, and one --h the side of a cube.
+        box = Box(ks * len(es) if len(ks) == 1 else ks, hs[0] if len(hs) == 1 else hs)
+        result = counts.count_monomial_pairs_brute(ctx, ExponentVector(tuple(es)), box)
+        hs, ks = list(box.sides), list(box.k)
         payload = {"p": args.p, "e": es, "h": hs, "k": ks, "value": result.value, "method": result.method}
     else:
         if len(hs) != 1 or len(ks) != 1:

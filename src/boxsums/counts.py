@@ -3,8 +3,9 @@
 Counts pairs of tuples (x, y) with equal, nonzero shifted products
 (or shifted-power monomials) mod p, via a single-pass frequency table
 and sum of squares, plus a character-average identity cross-check.
-Intervals come from `modular.box_powers`, the kernel the sums read too, which
-reduces k mod p and reads x^e from the context's index and power tables.
+Every count takes its powers from one call of `modular.box_powers` per box,
+the kernel the sums read too, which reduces k mod p and reads x^e from the
+context's index and power tables; a `modular.Box` owns the box's shape checks.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from . import bounds
 from .errors import RoundingUnstableError, TooLargeError
 from .modular import (
+    Box,
     ExponentVector,
     PrimeContext,
     box_powers,
@@ -49,7 +51,7 @@ def count_product_pairs_brute(ctx: PrimeContext, nu: int, h: int, k: int) -> Cou
     prod (x_j+k) = prod (y_j+k) != 0 mod p. Exact, O(nu * h^nu)."""
     if nu < 1:
         raise ValueError(f"tuple length nu must be >= 1, got {nu}")
-    return _pair_count([box_powers(ctx, (k,), h, (1,))[0][0]] * nu, ctx.p)
+    return _pair_count([box_powers(ctx, Box((k,), h), (1,))[0][0]] * nu, ctx.p)
 
 
 def count_product_pairs_spectral(ctx: PrimeContext, nu: int, h: int, k: int) -> CountResult:
@@ -60,7 +62,7 @@ def count_product_pairs_spectral(ctx: PrimeContext, nu: int, h: int, k: int) -> 
     p = ctx.p
     # Interval indicator in the index (discrete-log) domain; the per-character
     # sums are then one inverse DFT of length p-1.
-    cnt = np.bincount(ctx.index[box_powers(ctx, (k,), h, (1,))[0][0]], minlength=p - 1)
+    cnt = np.bincount(ctx.index[box_powers(ctx, Box((k,), h), (1,))[0][0]], minlength=p - 1)
     per_char = (p - 1) * np.fft.ifft(cnt)
     raw = float((np.abs(per_char) ** (2 * nu)).sum() / (p - 1))
     rounded = round(raw)
@@ -69,19 +71,10 @@ def count_product_pairs_spectral(ctx: PrimeContext, nu: int, h: int, k: int) -> 
     return CountResult(value=int(rounded), method="spectral")
 
 
-def count_monomial_pairs_brute(
-    ctx: PrimeContext,
-    e: ExponentVector,
-    h: Sequence[int],
-    k: Sequence[int],
-) -> CountResult:
-    """Pairs of tuples over the rectangular box with equal nonzero values of
+def count_monomial_pairs_brute(ctx: PrimeContext, e: ExponentVector, box: Box) -> CountResult:
+    """Pairs of tuples over the box with equal nonzero values of
     prod (x_j+k_j)^{e_j} mod p. Exact, via frequency table."""
-    if len(h) != len(e) or len(k) != len(e):
-        raise ValueError("h, k, e dimensions disagree")
-    # One kernel call per side: the sides' lengths h_j may differ.
-    powers = [box_powers(ctx, (k_j,), h_j, (e_j,))[0][0] for h_j, k_j, e_j in zip(h, k, e.e)]
-    return _pair_count(powers, ctx.p)
+    return _pair_count(box_powers(ctx, box, e.e)[0], ctx.p)
 
 
 @dataclass
@@ -122,17 +115,17 @@ class ProductInequalityReport:
 def product_inequality_report(
     ctx: PrimeContext,
     e: ExponentVector,
-    h: Sequence[int],
-    k: Sequence[int],
+    box: Box,
     i_counts: Sequence[int] | None = None,
 ) -> ProductInequalityReport:
     """Check lhs <= prod_j I_j^{1/nu} (plain) and
     lhs <= prod_j (gcd(|e_j|, p-1) * I_j)^{1/nu} (gcd form), where
-    I_j = count_product_pairs_brute(nu, h_j, k_j), counted here unless given."""
+    I_j = count_product_pairs_brute(nu, h_j, k_j) over side j of the box, counted
+    here unless given."""
     nu = len(e)
-    lhs = count_monomial_pairs_brute(ctx, e, h, k).value
+    lhs = count_monomial_pairs_brute(ctx, e, box).value
     if i_counts is None:
-        i_counts = [count_product_pairs_brute(ctx, nu, h_j, k_j).value for h_j, k_j in zip(h, k)]
+        i_counts = [count_product_pairs_brute(ctx, nu, h_j, k_j).value for h_j, k_j in zip(box.sides, box.k)]
     gcds = tuple(math.gcd(abs(e_j), ctx.p - 1) for e_j in e.e)
     rhs_plain = math.prod(i_counts) ** (1.0 / nu)
     rhs_gcd = math.prod(g * c for g, c in zip(gcds, i_counts)) ** (1.0 / nu)

@@ -3,16 +3,17 @@
 Provides deterministic primality testing, smallest primitive roots,
 a full discrete-log (index) table per prime with its inverse power table
 and the unit-root tables the characters read (all on `PrimeContext`), monomial
-evaluation with positive or negative exponents, and the interval kernels, which
-reduce corners mod p: `interval_residues` (points), `box_powers` (x^e as
-g^{e ind x} at the nonzero points, which the sums' coordinates and the counts
-both read) and `monomial_values` (products over a box).
+evaluation with positive or negative exponents, the `Box` of sums and counts,
+and the interval kernels, which reduce corners mod p: `interval_residues`
+(points), `box_powers` (x^e as g^{e ind x} at a box's nonzero points, one call
+per box for the sums' coordinates and the counts) and `monomial_values`
+(products over a box).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -203,6 +204,34 @@ def build_context(p: int) -> PrimeContext:
     return PrimeContext(p=p, g=g, index=_read_only(index), power=_read_only(power))
 
 
+@dataclass(frozen=True)
+class Box:
+    """The box [k_1+1, k_1+h_1] x ... x [k_n+1, k_n+h_n]: `h` is one int, the common
+    side of a cube, or one side per coordinate. Checks its own shape: n >= 1, one
+    side per corner, every side >= 1."""
+
+    k: tuple[int, ...]
+    h: int | tuple[int, ...]
+    sides: tuple[int, ...] = field(init=False, repr=False, compare=False)  # h_j for j = 1..n
+
+    def __post_init__(self) -> None:
+        k = tuple(map(int, self.k))
+        h = int(self.h) if isinstance(self.h, (int, np.integer)) else tuple(map(int, self.h))
+        sides = (h,) * len(k) if isinstance(h, int) else h
+        if not k:
+            raise ValueError("box must have at least one coordinate")
+        if len(sides) != len(k):
+            raise ValueError(f"box has {len(k)} corners but {len(sides)} sides")
+        if min(sides) < 1:
+            raise ValueError("side length h must be >= 1")
+        for name, value in (("k", k), ("h", h), ("sides", sides)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def n(self) -> int:
+        return len(self.k)
+
+
 def interval_residues(k: Sequence[int], h: int, p: int) -> np.ndarray:
     """The points of [k_j+1, k_j+h] reduced mod p, one row per corner k_j (any
     integers: they are reduced in Python first); 1 <= h < p."""
@@ -213,32 +242,35 @@ def interval_residues(k: Sequence[int], h: int, p: int) -> np.ndarray:
 
 def box_powers(
     ctx: PrimeContext,
-    k: Sequence[int],
-    h: int,
+    box: Box,
     e: Sequence[int],
     weights: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[Sequence[np.ndarray], Sequence[np.ndarray] | None]:
-    """Per coordinate j of the box [k_1+1, k_1+h] x ... x [k_n+1, k_n+h], x^{e_j} mod p
-    at its points nonzero mod p in interval order, read as g^{e_j ind x} from the index
-    and power tables in one pass over the n x h residues; with `weights` (the residues
-    to an n x h table), also each coordinate's weights at those points, else None. Rows
-    are read-only; the n x h table itself when no interval holds a multiple of p. The
-    kernel of the sums' coordinates and of every count; 1 <= h < p."""
-    p = ctx.p
-    k = [k_j % p for k_j in k]
-    res = interval_residues(k, h, p)
+    """Per coordinate j of the box, x^{e_j} mod p at the points of [k_j+1, k_j+h_j] nonzero
+    mod p in interval order, read as g^{e_j ind x} from the index and power tables in one
+    pass over the n x max(h_j) residues; with `weights` (the residues to a table of their
+    shape), also each coordinate's weights at those points, else None. Rows are read-only;
+    rows of that table itself where no point is dropped. The kernel of the sums'
+    coordinates and of every count; max(h_j) < p."""
+    if len(e) != box.n:
+        raise ValueError(f"{len(e)} exponents for a box of dimension {box.n}")
+    p, sides = ctx.p, box.sides
+    k = [k_j % p for k_j in box.k]
+    res = interval_residues(k, max(sides), p)
     # |e_j * ind x| < 2^31 * p < 2^62; the sentinel ind 0 = -1 picks a power that is dropped below.
     ind = ctx.index[res]
     ind *= np.array(e, dtype=np.int64)[:, None]
     ind %= p - 1
     tables = [_read_only(ctx.power[ind])] + ([] if weights is None else [_read_only(weights(res))])
-    # With k_j reduced the points are k_j+1..k_j+h < 2p, so p is the one multiple a row can hold.
-    if wraps := [j for j, k_j in enumerate(k) if k_j + h >= p]:
-        keep = res != 0
+    # With k_j reduced the points are k_j+1..k_j+h_j < 2p, so p is the one multiple a row can hold;
+    # a row shorter than the longest also drops the columns past its own side.
+    h = res.shape[1]
+    if cut := [j for j, (k_j, h_j) in enumerate(zip(k, sides)) if k_j + h_j >= p or h_j < h]:
         tables = [list(t) for t in tables]
-        for j in wraps:
+        for j in cut:
+            keep = res[j, : sides[j]] != 0
             for t in tables:
-                t[j] = _read_only(t[j][keep[j]])
+                t[j] = _read_only(t[j][: sides[j]][keep])
     return tables[0], tables[1] if weights else None
 
 

@@ -12,8 +12,9 @@ they number at most `dense_fold_limit(p)` (half of p-1), then on one dense
 array over the index domain, where each fold and the contraction are
 rotations, since ind(u*x^e) = ind u + ind x^e.
 A frozen `SumSpec` builds its coordinates once, read-only, for every evaluator,
-in one call of the interval kernel `modular.box_powers` (which the counts share)
-with one weight table per spec.
+in one call of the interval kernel `modular.box_powers` on its `modular.Box`
+(which the counts share) with one weight table per spec. The box must be a cube,
+since each weight system builds one n x h table.
 """
 
 from __future__ import annotations
@@ -34,31 +35,12 @@ from .characters import (
     dilated_moments,
 )
 from .errors import DimensionTooSmallError, LambdaDivisibleError
-from .modular import ExponentVector, PrimeContext, box_powers, monomial_values
+from .modular import Box, ExponentVector, PrimeContext, box_powers, monomial_values
 
 
 def agreement_tolerance(terms: int) -> float:
     """Absolute tolerance for cross-method comparisons: 1e-9*(1+terms)."""
     return 1e-9 * (1 + terms)
-
-
-@dataclass(frozen=True)
-class Box:
-    """Cube [k_1+1, k_1+h] x ... x [k_n+1, k_n+h] of common side h."""
-
-    k: tuple[int, ...]
-    h: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", tuple(int(v) for v in self.k))
-        if self.h < 1:
-            raise ValueError("side length h must be >= 1")
-        if len(self.k) < 1:
-            raise ValueError("box must have at least one coordinate")
-
-    @property
-    def n(self) -> int:
-        return len(self.k)
 
 
 class UnitWeights:
@@ -130,7 +112,9 @@ class SumSpec:
         wdim = self.weights.dimension()
         if wdim is not None and wdim != self.box.n:
             raise ValueError("weight system dimension disagrees with box")
-        if self.box.h >= self.ctx.p:
+        if len(set(self.box.sides)) > 1:
+            raise ValueError("a sum's box must be a cube: each weight system builds an n x h table")
+        if self.box.sides[0] >= self.ctx.p:
             raise ValueError("side length must satisfy h < p")
 
     @property
@@ -144,7 +128,7 @@ class SumSpec:
         Both come from one call of the kernel `modular.box_powers`, which takes
         the weights from one n x h table of the weight system at its residues."""
         weights = partial(self.weights.coordinate_table, self.ctx)
-        return tuple(zip(*box_powers(self.ctx, self.box.k, self.box.h, self.e.e, weights)))
+        return tuple(zip(*box_powers(self.ctx, self.box, self.e.e, weights)))
 
 
 @dataclass
@@ -176,7 +160,8 @@ def monomial_value_distribution(spec: SumSpec, lo: int = 0, hi: int | None = Non
     merged by residue once they outnumber p; mass at 0 is empty."""
     if hi is None:
         hi = spec.n
-    return ResidueDistribution(spec.ctx, *_merged(*_flatten_slice(spec, lo, hi), spec.ctx.p))
+    dist = ResidueDistribution(spec.ctx, *_flatten_slice(spec, lo, hi))
+    return ResidueDistribution.from_values(spec.ctx, dist.values) if len(dist.points) > spec.ctx.p else dist
 
 
 def monomial_sum_naive(spec: SumSpec) -> SumResult:
@@ -209,8 +194,6 @@ def kloosterman_sum(
 ) -> SumResult:
     """Incomplete multivariate Kloosterman sum: all exponents -1 with
     additive phase weights exp(2*pi*i*lambda_j*x/p)."""
-    if len(lam_vec) != box.n:
-        raise ValueError("phase vector dimension disagrees with box")
     spec = SumSpec(
         ctx=ctx,
         box=box,
@@ -227,16 +210,6 @@ def character_sum_naive(spec: SumSpec, chi: MultChar) -> SumResult:
     vals, wts = _flatten_slice(spec, 0, spec.n)
     cvals = chi.table()[(vals + spec.lam) % p]
     return SumResult(value=complex(wts @ cvals), terms=len(vals), method="naive")
-
-
-def _merged(u: np.ndarray, mass: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Entries (u, mass) summed by residue u once they outnumber p, else as given."""
-    if len(u) <= p:
-        return u, mass
-    dense = np.zeros(p, dtype=np.complex128)
-    np.add.at(dense, u, mass)
-    u = np.flatnonzero(dense)
-    return u, dense[u]
 
 
 def dense_fold_limit(p: int) -> int:

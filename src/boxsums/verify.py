@@ -27,10 +27,10 @@ from . import bounds, characters, counts, sums
 from .characters import MultChar, ResidueDistribution
 from .errors import ConfigInvalidError, OutOfRangeError
 from .modular import (
-    ExponentVector, PrimeContext, box_powers, build_context, inv_mod, monomial_eval, monomial_values, pow_mod
+    Box, ExponentVector, PrimeContext, box_powers, build_context, inv_mod, monomial_eval, monomial_values, pow_mod
 )
 from .sampling import WEIGHT_KINDS, draw_coprime_lambda, draw_spec, substream
-from .sums import Box, SumSpec, UnitWeights, agreement_tolerance
+from .sums import SumSpec, UnitWeights, agreement_tolerance
 
 
 # Grid primes when a run names none.
@@ -202,7 +202,7 @@ def _check_monomial(grid: VerifyGrid, store, out: CheckResult) -> None:
         for n in (1, 2, 3):
             for e in itertools.product(oracle, repeat=n):
                 ev = ExponentVector(e)
-                kernel = monomial_values(box_powers(ctx, (0,) * n, p - 1, e)[0], p).tolist()
+                kernel = monomial_values(box_powers(ctx, Box((0,) * n, p - 1), e)[0], p).tolist()
                 want = [math.prod(f) % p for f in itertools.product(*(oracle[ej] for ej in e))]
                 # One tally per e: each tuple is an instance, and a message is built only for a mismatch.
                 out.add(
@@ -496,7 +496,7 @@ def _check_product_inequality(grid: VerifyGrid, store, out: CheckResult) -> None
                     continue
                 for k in itertools.product((0, 1), repeat=2):
                     i_counts = [plain[side] for side in zip(h, k)]
-                    rep = counts.product_inequality_report(ctx, ExponentVector(e), h, k, i_counts)
+                    rep = counts.product_inequality_report(ctx, ExponentVector(e), Box(k, h), i_counts)
                     out.add(0.0, not rep.holds_gcd and f"gcd form broken: p={p}, e={e}, h={h}, k={k}")
                     plain_violations += not rep.holds_plain
     if plain_violations:

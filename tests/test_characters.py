@@ -18,7 +18,8 @@ from boxsums.characters import (
     spectrum_direct,
 )
 from boxsums.errors import LambdaDivisibleError, PrincipalCharacterError
-from boxsums.modular import build_context
+from boxsums.modular import Box, ExponentVector, build_context
+from boxsums.sums import SumSpec, character_sum_split, dense_fold_limit
 
 PRIMES = [5, 7, 11, 13, 31]
 
@@ -421,6 +422,21 @@ class TestCharMoment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_split_contraction_stays_blocked(self):
+        # The sparse split contracts 2,000 entries against 2,000 points: one table of
+        # every (entry, point) pair would need about 92 MiB here.
+        ctx = build_context(10007)
+        spec = SumSpec(ctx, Box((0, 0), 2000), ExponentVector((1, 1)), lam=5)
+        chi = MultChar(ctx, 17)
+        tracemalloc.start()
+        try:
+            result = character_sum_split(spec, chi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.terms == 2000**2 and len(spec.coordinates[0][0]) <= dense_fold_limit(ctx.p)
         assert peak < 16 * 2**20
 
     def test_principal_rejected(self, ctx11):

@@ -15,7 +15,7 @@ from boxsums.counts import (
     product_inequality_report,
 )
 from boxsums.errors import TooLargeError
-from boxsums.modular import ExponentVector, build_context, is_prime
+from boxsums.modular import Box, ExponentVector, build_context, is_prime
 
 PRIMES = [5, 7, 11, 13, 31]
 
@@ -144,22 +144,22 @@ class TestProductPairsSpectral:
 
 class TestMonomialPairsBrute:
     def test_unit_exponents_specialize(self, ctx7):
-        got = count_monomial_pairs_brute(ctx7, ExponentVector((1, 1)), (3, 3), (0, 0))
+        got = count_monomial_pairs_brute(ctx7, ExponentVector((1, 1)), Box((0, 0), (3, 3)))
         assert got.value == count_product_pairs_brute(ctx7, 2, 3, 0).value
 
     def test_squares_distinct(self, ctx7):
         # Squares of 1..3 are 1, 4, 2 mod 7 — all distinct, diagonal only.
-        got = count_monomial_pairs_brute(ctx7, ExponentVector((2,)), (3,), (0,))
+        got = count_monomial_pairs_brute(ctx7, ExponentVector((2,)), Box((0,), (3,)))
         assert got.value == 3
 
     def test_cubes_pinned(self, ctx7):
         # Cubes mod 7 land in {1, 6}, each hit three times: 9 + 9 = 18.
-        got = count_monomial_pairs_brute(ctx7, ExponentVector((3,)), (6,), (0,))
+        got = count_monomial_pairs_brute(ctx7, ExponentVector((3,)), Box((0,), (6,)))
         assert got.value == 18
 
     def test_dimension_mismatch(self, ctx7):
         with pytest.raises(ValueError):
-            count_monomial_pairs_brute(ctx7, ExponentVector((1, 1)), (3,), (0, 0))
+            count_monomial_pairs_brute(ctx7, ExponentVector((1, 1)), Box((0, 0), (3,)))
 
     def test_matches_double_loop_oracle(self, ctx7):
         def slow(e, h, k):
@@ -180,7 +180,7 @@ class TestMonomialPairsBrute:
             )
 
         for e in ((1, -1), (2, 3), (-2, -2)):
-            got = count_monomial_pairs_brute(ctx7, ExponentVector(e), (3, 4), (0, 1))
+            got = count_monomial_pairs_brute(ctx7, ExponentVector(e), Box((0, 1), (3, 4)))
             assert got.value == slow(e, (3, 4), (0, 1))
 
     @staticmethod
@@ -201,7 +201,7 @@ class TestMonomialPairsBrute:
         for e in ((big, -big), (-big, 1), (2, big)):
             for k in corners:
                 for h in ((3, 4), (min(p - 1, 6), 1)):
-                    got = count_monomial_pairs_brute(ctx, ExponentVector(e), h, k).value
+                    got = count_monomial_pairs_brute(ctx, ExponentVector(e), Box(k, h)).value
                     assert got == self._pow_oracle(p, e, h, k), (p, e, h, k)
 
     @pytest.mark.parametrize("p", [5, 7, 13])
@@ -212,7 +212,7 @@ class TestMonomialPairsBrute:
                 k = -1 - i  # the point p of [k+1, k+h] sits at position i
                 for e in ((1, -1), (3, 2)):
                     box_k = (k, k + 2 * p)
-                    got = count_monomial_pairs_brute(ctx, ExponentVector(e), (h, h), box_k).value
+                    got = count_monomial_pairs_brute(ctx, ExponentVector(e), Box(box_k, (h, h))).value
                     assert got == self._pow_oracle(p, e, (h, h), box_k), (p, h, i, e)
                 for nu in (1, 2):
                     want = _oracle_product_pairs(p, nu, h, k)
@@ -222,12 +222,12 @@ class TestMonomialPairsBrute:
 
 class TestProductInequality:
     def test_unit_exponents_equality(self, ctx7):
-        rep = product_inequality_report(ctx7, ExponentVector((1, 1)), (3, 3), (0, 0))
+        rep = product_inequality_report(ctx7, ExponentVector((1, 1)), Box((0, 0), (3, 3)))
         assert rep.holds_plain and rep.holds_gcd
         assert rep.lhs <= rep.rhs_plain + 1e-9
 
     def test_gcd_factor_monotone(self, ctx7):
-        rep = product_inequality_report(ctx7, ExponentVector((3, 3)), (3, 3), (0, 0))
+        rep = product_inequality_report(ctx7, ExponentVector((3, 3)), Box((0, 0), (3, 3)))
         assert rep.gcds == (3, 3)
         assert rep.rhs_gcd >= rep.rhs_plain * 3 - 1e-9
 
@@ -235,21 +235,21 @@ class TestProductInequality:
         # At p=5, e=(2,2), h=(3,3), k=(0,0) the plain geometric-mean form
         # fails (J = 41 > 21) while the gcd form holds (41 <= 42).
         ctx = build_context(5)
-        rep = product_inequality_report(ctx, ExponentVector((2, 2)), (3, 3), (0, 0))
+        rep = product_inequality_report(ctx, ExponentVector((2, 2)), Box((0, 0), (3, 3)))
         assert rep.lhs == 41
         assert not rep.holds_plain
         assert rep.holds_gcd
 
     def test_supplied_plain_counts_give_the_same_report(self, ctx7):
         e, h, k = ExponentVector((2, -1)), (3, 4), (0, 1)
-        counted = product_inequality_report(ctx7, e, h, k)
+        counted = product_inequality_report(ctx7, e, Box(k, h))
         i_counts = [count_product_pairs_brute(ctx7, 2, h_j, k_j).value for h_j, k_j in zip(h, k)]
-        assert product_inequality_report(ctx7, e, h, k, i_counts) == counted
+        assert product_inequality_report(ctx7, e, Box(k, h), i_counts) == counted
         assert counted.i_counts == tuple(i_counts)
 
     @pytest.mark.parametrize("p", [5, 7, 11])
     def test_gcd_form_holds_on_sample(self, p):
         ctx = build_context(p)
         for e in itertools.product((-2, -1, 1, 2, 3), repeat=2):
-            rep = product_inequality_report(ctx, ExponentVector(e), (3, 3), (0, 1))
+            rep = product_inequality_report(ctx, ExponentVector(e), Box((0, 1), (3, 3)))
             assert rep.holds_gcd, f"p={p}, e={e}"

@@ -464,8 +464,8 @@ class TestVerifySuite:
 
         real = verify_mod.box_powers
 
-        def corrupted(ctx, k, h, e):
-            pv, w = real(ctx, k, h, e)
+        def corrupted(ctx, box, e):
+            pv, w = real(ctx, box, e)
             if tuple(e) == (1, -2, 2):
                 pv = list(pv)
                 pv[1] = pv[1].copy()

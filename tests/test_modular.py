@@ -14,6 +14,7 @@ from boxsums.errors import (
     ZeroToNegativePowerError,
 )
 from boxsums.modular import (
+    Box,
     ExponentVector,
     box_powers,
     build_context,
@@ -230,6 +231,25 @@ class TestMonomialEval:
                         assert monomial_eval(ctx, x, ExponentVector(e)) == want
 
 
+class TestBox:
+    def test_cube_keeps_its_common_side(self):
+        box = Box([2**70, -3], np.int64(4))
+        assert box.k == (2**70, -3) and box.h == 4 and type(box.h) is int
+        assert box.n == 2 and box.sides == (4, 4)
+
+    def test_sides_per_coordinate(self):
+        box = Box((0, 1, 2), [3, 1, np.int64(5)])
+        assert box.h == box.sides == (3, 1, 5)
+
+    @pytest.mark.parametrize(
+        "k, h",
+        [((), 3), ((), ()), ((0, 0), (3,)), ((0,), (3, 4)), ((0, 0), ()), ((0, 0), 0), ((0, 0), (3, 0)), ((0,), (-2,))],
+    )
+    def test_bad_shapes_rejected(self, k, h):
+        with pytest.raises(ValueError):
+            Box(k, h)
+
+
 class TestIntervalKernels:
     """`box_powers`, the kernel of the sums' coordinates and of the counts, against `pow_mod`."""
 
@@ -244,7 +264,7 @@ class TestIntervalKernels:
                 continue
             # All four corners in one call, with e and -e alternating over the rows.
             e = [e_abs * (-1) ** j for j in range(len(corners))]
-            got, no_weights = box_powers(ctx, corners, h, e)
+            got, no_weights = box_powers(ctx, Box(corners, h), e)
             assert no_weights is None and len(got) == len(corners)
             for j, (k, e_j) in enumerate(zip(corners, e)):
                 x = [(k + i) % p for i in range(1, h + 1)]
@@ -261,7 +281,7 @@ class TestIntervalKernels:
             for r in {p - 1, p - h, p - 1 - h // 2, 0, p - h - 1}:
                 for k in (r, r - p, p * 2**70 + r):
                     # The residues themselves as weights show which points the kernel keeps.
-                    (got,), (kept,) = box_powers(ctx, (k,), h, (e,), lambda res: res.astype(float))
+                    (got,), (kept,) = box_powers(ctx, Box((k,), h), (e,), lambda res: res.astype(float))
                     x = interval_residues((k,), h, p)[0]
                     assert kept.tolist() == [v for v in x if v != 0], (p, h, k)
                     want = [pow_mod(int(v), e, p) for v in x if v != 0]
@@ -269,7 +289,7 @@ class TestIntervalKernels:
                     assert not got.flags.writeable and not kept.flags.writeable
             # The multiple of p sits at every position of one interval in turn, each row its own corner.
             corners = [-1 - i for i in range(h)]
-            got, kept = box_powers(ctx, corners, h, [e] * h, lambda res: res.astype(float))
+            got, kept = box_powers(ctx, Box(corners, h), [e] * h, lambda res: res.astype(float))
             for i, (k, pv, kept_i) in enumerate(zip(corners, got, kept)):
                 x = interval_residues((k,), h, p)[0]
                 assert x[i] == 0 and kept_i.tolist() == [v for v in x if v != 0]
@@ -277,14 +297,35 @@ class TestIntervalKernels:
             assert np.count_nonzero(interval_residues((0,), h, p)) == h
 
     @pytest.mark.parametrize("p", [5, 13, 101])
+    def test_ragged_box_matches_one_call_per_side(self, p):
+        ctx = build_context(p)
+        corners, e = (-1, 0, p - 2, p * 2**70 + 3), (1, -2, 3, -1)
+        for sides in itertools.product({1, 2, p // 2, p - 1}, repeat=len(corners)):
+            # The residues themselves as weights show which points each row keeps.
+            got, kept = box_powers(ctx, Box(corners, sides), e, lambda res: res.astype(float))
+            for j, (k_j, h_j, e_j) in enumerate(zip(corners, sides, e)):
+                (want,), (want_kept,) = box_powers(ctx, Box((k_j,), h_j), (e_j,), lambda res: res.astype(float))
+                assert got[j].tolist() == want.tolist() and kept[j].tolist() == want_kept.tolist(), (p, sides, j)
+                assert not got[j].flags.writeable and not kept[j].flags.writeable
+                # Only a row that drops a point (the multiple of p, or columns past its side) is copied.
+                cut = k_j % p + h_j >= p or h_j < max(sides)
+                assert (got[j].base is None) == (kept[j].base is None) == cut, (p, sides, j)
+
+    def test_exponent_count_must_match_the_box(self):
+        ctx = build_context(7)
+        for e in ((2,), (1, 2, 3)):
+            with pytest.raises(ValueError, match="exponents for a box of dimension 2"):
+                box_powers(ctx, Box((0, 1), 3), e)
+
+    @pytest.mark.parametrize("p", [5, 13, 101])
     def test_monomial_values_one_factor(self, p):
-        a = box_powers(build_context(p), (3,), p - 2, (-2,))[0][0]
+        a = box_powers(build_context(p), Box((3,), p - 2), (-2,))[0][0]
         assert np.array_equal(monomial_values([a], p), a)
 
     @pytest.mark.parametrize("p", [5, 13, 101])
     @pytest.mark.parametrize("nu", [1, 2, 3])
     def test_monomial_values_repeated_factor(self, p, nu):
-        a = box_powers(build_context(p), (-7,), min(p - 1, 12), (1,))[0][0]
+        a = box_powers(build_context(p), Box((-7,), min(p - 1, 12)), (1,))[0][0]
         want = [math.prod(t) % p for t in itertools.product(a.tolist(), repeat=nu)]
         assert monomial_values([a] * nu, p).tolist() == want
 
@@ -292,7 +333,7 @@ class TestIntervalKernels:
     def test_weights_share_the_mask_and_only_rows_holding_p_are_copied(self, p):
         ctx = build_context(p)
         table = np.arange(9, dtype=float).reshape(3, 3)
-        pv, w = box_powers(ctx, (0, -1, 1), 3, (1, 2, -1), lambda r: table + 0)
+        pv, w = box_powers(ctx, Box((0, -1, 1), 3), (1, 2, -1), lambda r: table + 0)
         assert [len(row) for row in pv] == [len(row) for row in w] == [3, 2, 3]
         assert w[1].tolist() == [4.0, 5.0]  # the multiple of p at column 0 of row 1 is dropped with its weight
         assert pv[0].base is pv[2].base is not None and pv[1].base is None

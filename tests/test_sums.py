@@ -69,6 +69,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             _spec(ctx5, (0, 0), 2, (1, 1), weights=PhaseWeights((1,)))
 
+    @pytest.mark.parametrize("weights", [None, PhaseWeights((1, 2))])
+    def test_unequal_sides_refused(self, ctx7, weights):
+        # The weight systems build one n x h table, so a sum's box must be a cube.
+        with pytest.raises(ValueError, match="cube"):
+            _spec(ctx7, (0, 0), (2, 3), (1, 1), weights=weights)
+        assert _spec(ctx7, (0, 0), (3, 3), (1, 1)).box.sides == (3, 3)
+
     def test_table_weight_modulus_cap(self):
         with pytest.raises(ValueError):
             TableWeights([[1.5, 0.0]])
@@ -516,8 +523,8 @@ class TestLambdaReduction:
             for count in (count_product_pairs_brute, count_product_pairs_spectral):
                 assert count(ctx, 2, 12, k + s) == count(ctx, 2, 12, k)
         e = ExponentVector((2, -1))
-        assert count_monomial_pairs_brute(ctx, e, (12, 9), (3 + s, 1000 - s)) == (
-            count_monomial_pairs_brute(ctx, e, (12, 9), (3, 1000))
+        assert count_monomial_pairs_brute(ctx, e, Box((3 + s, 1000 - s), (12, 9))) == (
+            count_monomial_pairs_brute(ctx, e, Box((3, 1000), (12, 9)))
         )
 
 
@@ -648,7 +655,7 @@ class TestCoordinateCache:
         data = spec.coordinates
         assert spec.coordinates is data and len(data) == 3
         for (pv, w), k_j, e_j in zip(data, self.K, self.E):
-            (want,), _ = box_powers(spec.ctx, (k_j,), self.H, (e_j,))
+            (want,), _ = box_powers(spec.ctx, Box((k_j,), self.H), (e_j,))
             assert len(want) < self.H and np.array_equal(pv, want) and w.shape == pv.shape
             for arr in (pv, w):
                 with pytest.raises(ValueError):
