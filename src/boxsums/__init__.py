@@ -1,6 +1,18 @@
 """Sums with monomials, Kloosterman sums, and multiplicative-character sums
 over short boxes modulo a prime, with congruence counting and empirical
-verification of the associated explicit bounds."""
+verification of the associated explicit bounds.
+
+Importing the package pins BLAS to one thread unless the caller set a count:
+threaded BLAS makes the last digits of a contraction depend on the host's thread
+count, and runs a thin block product many times slower on a small host.
+"""
+
+import os
+
+# Before any submodule imports numpy, which reads these once at load.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .bounds import (
     BoundValue,

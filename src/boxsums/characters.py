@@ -113,6 +113,12 @@ def support_sum_limit(p: int, supp: int) -> int:
     return 2 * p * (p - 1).bit_length() // max(supp, 1)
 
 
+def _block_rows(p: int, cols: int) -> int:
+    """Rows per block of a pair array with `cols` columns: blocks of <= max(p, 2^16)
+    pairs keep memory O(p), like the FFT's, whatever the numbers of rows and columns are."""
+    return max(1, max(p, 2**16) // max(1, cols))
+
+
 def _support_sum(dist: ResidueDistribution, at: np.ndarray) -> np.ndarray:
     """hat[at] for frequencies reduced mod p, summed over the entries: one index
     addition and one gather per (frequency, point) pair, both nonzero."""
@@ -124,9 +130,8 @@ def _support_sum(dist: ResidueDistribution, at: np.ndarray) -> np.ndarray:
         out, w = np.full(len(at), mass.sum(), dtype=np.complex128), np.flatnonzero(at)
         out[w] = _support_sum(dist, at[w])
         return out
-    # Blocks of <= max(p, 2^16) (frequency, point) pairs keep memory O(p), like the FFT's.
     table, iw, iv = ctx.index_roots, ctx.index[at], ctx.index[points]
-    rows = max(1, max(ctx.p, 2**16) // max(1, len(points)))
+    rows = _block_rows(ctx.p, len(points))
     out = np.empty(len(at), dtype=np.complex128)
     for i in range(0, len(at), rows):
         out[i : i + rows] = table[np.add.outer(iw[i : i + rows], iv)] @ mass
@@ -179,8 +184,7 @@ def dilated_char_sums(chi: MultChar, u, x: np.ndarray, lam: int, w: np.ndarray) 
     x, lam = np.asarray(x, dtype=np.int64) % p, lam % p
     c = ctx.power[(ctx.index[lam] - ctx.index[x]) % (p - 1)] if lam else np.zeros_like(x)
     wx, us = w * table[x], np.asarray(u % p, dtype=np.int64)
-    # Blocks of <= max(p, 2^16) (u, x) pairs keep memory O(p) whatever the numbers of u and x are.
-    rows = max(1, max(p, 2**16) // max(1, len(x)))
+    rows = _block_rows(p, len(x))
     blocks = [us] if us.size <= rows else [us[i : i + rows] for i in range(0, len(us), rows)]
     out = [np.take(table, np.add.outer(b, c), mode="wrap") @ wx for b in blocks]
     out = out[0] if len(out) == 1 else np.concatenate(out)

@@ -3,7 +3,10 @@ probing the almost-all-primes counts, and calibration storage.
 
 Output is deterministic for a fixed config and seed: records are keyed by
 (selector, n, p, h, trial) and written in that order; timing columns sit
-at the end and are outside the determinism contract.
+at the end and are outside the determinism contract. A sweep draws and
+evaluates each (kind, n, p, h, trial) instance once, kind being monomial or
+character sum; every family whose cell holds it shares that evaluation and
+its eval_ns, and adds its own bound, ratio, branch and bound_ns.
 """
 
 from __future__ import annotations
@@ -148,16 +151,19 @@ def threshold_h_values(selector: str, n: int, p: int, width: float = 0.05) -> li
     return hs
 
 
-def _run_trial(
-    selector: str,
-    ctx,
-    n: int,
-    h: int,
-    trial: int,
-    config: ExperimentConfig,
-    bv: bounds.BoundValue,
-    bound_ns: int,
-) -> RatioRecord:
+@dataclass(frozen=True)
+class _Evaluation:
+    """One drawn and evaluated instance, shared by every family whose cell holds it."""
+
+    e: tuple[int, ...]
+    k: tuple[int, ...]
+    lam: int
+    char_index: int  # -1 for monomial sums
+    abs_sum: float
+    eval_ns: int
+
+
+def _evaluate(is_char: bool, ctx, n: int, h: int, trial: int, config: ExperimentConfig) -> _Evaluation:
     p = ctx.p
     rng = substream(config.seed, p, n, h, trial)
     fixed = config.lambda_policy == "fixed"
@@ -172,7 +178,6 @@ def _run_trial(
         origin_box=(trial == 0),
         lam=lam,
     )
-    is_char = selector not in _S_SELECTORS
     char_index = -1
     t0 = time.perf_counter_ns()
     if is_char:
@@ -188,23 +193,7 @@ def _run_trial(
         raise AssertionError(
             f"|sum|={abs_sum} exceeds trivial bound h^n at p={p}, n={n}, h={h}"
         )
-    return RatioRecord(
-        selector=selector,
-        p=p,
-        n=n,
-        h=h,
-        e=spec.e.e,
-        k=spec.box.k,
-        lam=lam,
-        char_index=char_index,
-        abs_sum=abs_sum,
-        bound=bv.value,
-        ratio=abs_sum / bv.value,
-        branch=bv.branch,
-        trial=trial,
-        eval_ns=t1 - t0,
-        bound_ns=bound_ns,
-    )
+    return _Evaluation(spec.e.e, spec.box.k, lam, char_index, abs_sum, t1 - t0)
 
 
 @dataclass
@@ -260,10 +249,21 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     contexts = {p: build_context(p) for p in sorted({c[2] for c in cells})}
     records: list[RatioRecord] = []
     summaries: list[CellSummary] = []
+    # A trial's instance depends on (kind, n, p, h, trial) alone, so families whose cells
+    # coincide share one evaluation of each sum.
+    evaluations: dict[tuple[bool, int, int, int, int], _Evaluation] = {}
     for selector, n, p, h, bv, bound_ns in cells:
+        is_char = selector not in _S_SELECTORS
         ratios = []
         for trial in range(config.trials):
-            rec = _run_trial(selector, contexts[p], n, h, trial, config, bv, bound_ns)
+            key = (is_char, n, p, h, trial)
+            if key not in evaluations:
+                evaluations[key] = _evaluate(is_char, contexts[p], n, h, trial, config)
+            ev = evaluations[key]
+            rec = RatioRecord(
+                selector=selector, p=p, n=n, h=h, bound=bv.value, ratio=ev.abs_sum / bv.value,
+                branch=bv.branch, trial=trial, bound_ns=bound_ns, **vars(ev),
+            )
             records.append(rec)
             ratios.append(rec.ratio)
         mean = sum(ratios) / len(ratios)

@@ -158,6 +158,73 @@ class TestSweep:
         with pytest.raises(AssertionError):
             run_sweep(_sweep_config())
 
+    @staticmethod
+    def _spy_sums(monkeypatch):
+        """Count each sum kind's calls per (n, p, h), from the spec the harness passes."""
+        calls = collections.Counter()
+        for name in ("character_sum_split", "monomial_sum_bilinear"):
+
+            def counted(spec, *args, fn=getattr(sums, name), name=name):
+                calls[name, spec.n, spec.ctx.p, spec.box.sides[0]] += 1
+                return fn(spec, *args)
+
+            monkeypatch.setattr(sums, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("families", [("t-all", "t-almost"), ("s-all", "s-almost")])
+    def test_families_sharing_cells_match_their_lone_sweeps(self, families):
+        # On the default grids at p = 101 the two families' cells coincide at n = 4, 5, 6.
+        def untimed(selectors):
+            config = _sweep_config(bounds=list(selectors), n=[], h=[], trials=2)
+            return [dataclasses.replace(r, eval_ns=0, bound_ns=0) for r in run_sweep(config).records]
+
+        together = untimed(families)
+        alone = [rec for family in families for rec in untimed([family])]
+        assert together == alone
+        shared = {(r.n, r.h) for r in together if r.selector == families[0]}
+        assert shared & {(r.n, r.h) for r in together if r.selector == families[1]}
+
+    def test_one_evaluation_per_distinct_instance(self, monkeypatch):
+        calls = self._spy_sums(monkeypatch)
+        result = run_sweep(_sweep_config(bounds=list(bounds.SELECTORS), n=[], h=[], trials=2))
+        by_kind = collections.defaultdict(set)
+        for r in result.records:
+            kind = "monomial_sum_bilinear" if r.selector in ("s-all", "s-almost") else "character_sum_split"
+            by_kind[kind].add((r.n, r.p, r.h, r.trial))
+        expected = collections.Counter((kind, n, p, h) for kind, keys in by_kind.items() for n, p, h, _ in keys)
+        assert calls == expected
+        assert sum(calls.values()) < len(result.records)
+
+    def test_monomial_and_character_sums_evaluated_separately(self, monkeypatch):
+        calls = self._spy_sums(monkeypatch)
+        result = run_sweep(_sweep_config(bounds=["s-almost", "t-almost"], trials=3))
+        # The two kinds draw from the same substream at each (n, p, h, trial), and neither reuses the other.
+        kinds = ("character_sum_split", "monomial_sum_bilinear")
+        assert calls == {(name, 4, 101, h): 3 for name in kinds for h in (3, 5)}
+        for r in result.records:
+            assert (r.char_index == -1) == (r.selector == "s-almost")
+
+
+class TestBlasThreads:
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def _after_import(self, **preset) -> list[str]:
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = f"import os, boxsums; print(*(os.environ.get(v) for v in {self.VARS!r}))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**env, **preset}, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_import_pins_one_thread(self):
+        assert self._after_import() == ["1", "1", "1"]
+
+    def test_explicit_setting_wins(self):
+        assert self._after_import(OPENBLAS_NUM_THREADS="3") == ["3", "1", "1"]
+
 
 class TestWriters:
     """Golden bytes of each writer for one hand-built row: negative exponents
