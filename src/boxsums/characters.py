@@ -8,7 +8,10 @@ reference the tests and the verify suite compare against). Also the one kernel
 for dilated character sums sum_x w(x) chi(u*x + lam) and their moments, which
 the interval and split sums call: chi(u*x + lam) = chi(x) chi(u + c_x) with
 c_x = lam * x^{-1} = g^{ind lam - ind x}, so a term is one addition
-u + c_x < 2p and one table lookup whose wrap is a single subtraction of p.
+u + (c_x - p) in [-p, p-2] and one plain gather, whose negative index wraps
+once. Long per-call arrays are reduced by `modular.floor_mod`, not `%`, and
+no gather takes numpy's `mode="wrap"`, which cost 31 against 9 us per 10^4
+indices (numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LambdaDivisibleError, PrincipalCharacterError
-from .modular import PrimeContext, interval_residues
+from .modular import PrimeContext, floor_mod, interval_residues
 
 
 def additive_char(ctx: PrimeContext, z: int) -> complex:
@@ -50,10 +53,9 @@ class MultChar:
     def table(self) -> np.ndarray:
         """Values chi(x) for x = 0..p-1 (chi(0) = 0)."""
         if self._table is None:
-            m = self.ctx.p - 1
             # a*ind reduced mod p-1 indexes the (p-1)-th roots; index[0] = -1
             # lands on a valid root that is then zeroed.
-            vals = self.ctx.char_roots[(self.a * self.ctx.index) % m]
+            vals = self.ctx.char_roots[floor_mod(self.a * self.ctx.index, self.ctx.p - 1)]
             vals[0] = 0.0
             vals.setflags(write=False)
             self._table = vals
@@ -174,8 +176,9 @@ def dilated_char_sums(chi: MultChar, u, x: np.ndarray, lam: int, w: np.ndarray) 
 
     Each point x nonzero mod p contributes w(x) chi(x) * chi(u + c_x) with
     c_x = lam * x^{-1} = g^{ind lam - ind x} mod p (0 if lam = 0 mod p), since
-    chi(u*x + lam) = chi(x) chi(u + lam * x^{-1}). With u and c_x reduced mod p,
-    u + c_x < 2p, so the wrapped gather reduces each index by one subtraction.
+    chi(u*x + lam) = chi(x) chi(u + lam * x^{-1}). With u and c_x reduced mod p, the
+    index u + (c_x - p) lies in [-p, p-2], and a plain gather reads a negative index
+    from the end of the table, so each pair is one addition and one bounds-checked read.
     Points x = 0 mod p contribute w(x) chi(lam); in the gather chi(0) = 0 zeroes
     their weight, whatever c the sentinel index[0] = -1 gives them.
     """
@@ -183,10 +186,12 @@ def dilated_char_sums(chi: MultChar, u, x: np.ndarray, lam: int, w: np.ndarray) 
     p = ctx.p
     x, lam = np.asarray(x, dtype=np.int64) % p, lam % p
     c = ctx.power[(ctx.index[lam] - ctx.index[x]) % (p - 1)] if lam else np.zeros_like(x)
-    wx, us = w * table[x], np.asarray(u % p, dtype=np.int64)
+    # A Python int u may exceed int64, so it is reduced before conversion.
+    us = floor_mod(u, p) if isinstance(u, np.ndarray) else np.asarray(u % p, dtype=np.int64)
+    wx, c = w * table[x], c - p
     rows = _block_rows(p, len(x))
     blocks = [us] if us.size <= rows else [us[i : i + rows] for i in range(0, len(us), rows)]
-    out = [np.take(table, np.add.outer(b, c), mode="wrap") @ wx for b in blocks]
+    out = [table[np.add.outer(b, c)] @ wx for b in blocks]
     out = out[0] if len(out) == 1 else np.concatenate(out)
     return out if x.all() else out + w[x == 0].sum() * table[lam]
 

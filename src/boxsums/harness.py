@@ -341,21 +341,30 @@ def _verify_config(config: ExperimentConfig) -> ExperimentConfig:
     )
 
 
-def theorem_ratio_sweep(selector: str, n: int, config: ExperimentConfig) -> list[RatioRecord]:
-    """Sweep records of one family and n over CALIBRATION_PRIMES at the threshold-spanning
-    side lengths, with the config's seed, trials, weights, exponent pool and r."""
+# The calibrated theorem-ratio keys, one per family and n: "{selector}/n={n}".
+THEOREM_KEYS = tuple(f"{s}/n={n}" for s in CALIBRATED_SELECTORS for n in bounds.DIMS[s])
+
+
+def theorem_ratio_maxima(config: ExperimentConfig) -> list[float]:
+    """The max sweep ratio per key of THEOREM_KEYS, in its order, over CALIBRATION_PRIMES at the
+    threshold-spanning side lengths, with the config's seed, trials, weights, exponent pool and r.
+    One joint sweep of every calibrated family (over its whole bounds.DIMS, which the default
+    sweep dimensions keep), so families whose cells coincide share each evaluation."""
     sweep_cfg = ExperimentConfig(
         mode="sweep",
         primes=list(CALIBRATION_PRIMES),
-        n=[n],
-        bounds=[selector],
+        bounds=list(CALIBRATED_SELECTORS),
         trials=config.trials,
         seed=config.seed,
         weights=config.weights,
         exponent_pool=config.exponent_pool,
         r=config.r,
     )
-    return run_sweep(sweep_cfg).records
+    best: dict[str, float] = {}
+    for rec in run_sweep(sweep_cfg).records:
+        key = f"{rec.selector}/n={rec.n}"
+        best[key] = max(best.get(key, rec.ratio), rec.ratio)
+    return [best[key] for key in THEOREM_KEYS]
 
 
 def char_moment_shape_ratio(seed: int, r: int) -> float:
@@ -374,21 +383,17 @@ def char_moment_shape_ratio(seed: int, r: int) -> float:
     return best
 
 
-# Every calibrated metric, one entry per store key: (key, grid label, fresh), where
-# fresh(config) is the metric's max ratio; a label's {trials} is filled from the config.
+# Every calibrated metric: (keys, grid label, fresh), where fresh(config) is the list of
+# the keys' max ratios, in their order; a label's {trials} is filled from the config.
 CALIBRATED = (
-    *(
-        (f"{s}/n={n}", f"p={CALIBRATION_PRIMES}, threshold +-0.05, trials={{trials}}",
-         lambda config, s=s, n=n: max(rec.ratio for rec in theorem_ratio_sweep(s, n, config)))
-        for s in CALIBRATED_SELECTORS for n in bounds.DIMS[s]
-    ),
-    *((f"char-moment/r={r}", f"p={_MOMENT_PRIMES}, 10 samples each",
-       lambda config, r=r: char_moment_shape_ratio(config.seed, r)) for r in (1, 2)),
-    *((f"count-growth/nu={nu}", "p<=101, h=3..8, k in {{0,1,-1}}",
-       lambda config, nu=nu: max(count_growth_ratios(nu))) for nu in (2, 3)),
+    (THEOREM_KEYS, f"p={CALIBRATION_PRIMES}, threshold +-0.05, trials={{trials}}", theorem_ratio_maxima),
+    *(((f"char-moment/r={r}",), f"p={_MOMENT_PRIMES}, 10 samples each",
+       lambda config, r=r: [char_moment_shape_ratio(config.seed, r)]) for r in (1, 2)),
+    *(((f"count-growth/nu={nu}",), "p<=101, h=3..8, k in {{0,1,-1}}",
+       lambda config, nu=nu: [max(count_growth_ratios(nu))]) for nu in (2, 3)),
     # The almost-all-primes constant, which joins the prime-sweep ladder.
-    ("count-almost-all/nu=2", "primes in [250,500], h=6",
-     lambda config: max(row.ratio for row in counts.almost_all_rows(2, 6, 0, 250, 500))),
+    (("count-almost-all/nu=2",), "primes in [250,500], h=6",
+     lambda config: [max(row.ratio for row in counts.almost_all_rows(2, 6, 0, 250, 500))]),
 )
 
 
@@ -407,10 +412,10 @@ def run_calibrate(
     if not report.passed:
         raise VerifyNotGreenError("verification suite is not green")
 
-    for key, grid, fresh in CALIBRATED:
-        best = fresh(config)
-        store.update(key, best, grid.format(trials=config.trials), config.seed)
-        emit(f"calibrated {key}: max ratio {best:.6f}")
+    for keys, grid, fresh in CALIBRATED:
+        for key, best in zip(keys, fresh(config), strict=True):
+            store.update(key, best, grid.format(trials=config.trials), config.seed)
+            emit(f"calibrated {key}: max ratio {best:.6f}")
 
     if store.path is not None:
         store.save()

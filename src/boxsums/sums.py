@@ -35,7 +35,7 @@ from .characters import (
     dilated_moments,
 )
 from .errors import DimensionTooSmallError, LambdaDivisibleError
-from .modular import Box, ExponentVector, PrimeContext, box_powers, monomial_values
+from .modular import Box, ExponentVector, PrimeContext, box_powers, floor_mod, monomial_values
 
 
 def agreement_tolerance(terms: int) -> float:
@@ -206,9 +206,9 @@ def kloosterman_sum(
 
 def character_sum_naive(spec: SumSpec, chi: MultChar) -> SumResult:
     """Direct enumeration of sum rho-product * chi(monomial + lam)."""
-    p = spec.ctx.p
     vals, wts = _flatten_slice(spec, 0, spec.n)
-    cvals = chi.table()[(vals + spec.lam) % p]
+    # vals in [1, p-1] and lam in [0, p-1]: the index lies in [1-p, p-2], read from the end if negative.
+    cvals = chi.table()[vals + (spec.lam - spec.ctx.p)]
     return SumResult(value=complex(wts @ cvals), terms=len(vals), method="naive")
 
 
@@ -239,12 +239,14 @@ def character_sum_split(spec: SumSpec, chi: MultChar) -> SumResult:
     at a time.
 
     While the entries number at most dense_fold_limit(p) the fold stays on
-    entries, and the contraction is dilated_char_sums over them. Past it the
-    entries are summed once into a dense D[ind u] of length p-1. Since
-    ind(u * x^e) = ind u + ind x^e, folding in a coordinate is
-    D[i] <- sum_x w(x) D[i - ind x^e], and the value is
+    entries, each fold's products reduced by `modular.floor_mod`, and the
+    contraction is dilated_char_sums over them. Past it the entries are summed
+    once into a dense D[ind u] of length p-1. Since ind(u * x^e) = ind u + ind x^e,
+    folding in a coordinate is D[i] <- sum_x w(x) D[i - ind x^e], and the value is
     sum_x rho_n(x) sum_i D[i] K[i + ind x^{e_n}] with K[i] = chi(g^i + lam),
-    indices mod p-1: every step a rotation, with no `% p` and no merge.
+    indices mod p-1: every step a rotation, with no `% p` and no merge. K is one
+    plain gather of the character table at g^i + lam - p in [1-p, p-2], whose
+    negative indices read from the end of the table.
     """
     if spec.n < 2:
         raise DimensionTooSmallError("split path needs n >= 2")
@@ -254,7 +256,7 @@ def character_sum_split(spec: SumSpec, chi: MultChar) -> SumResult:
     while rest and len(u) <= limit:
         (pv_j, w_j), *rest = rest
         # The new coordinate varies slowest: long rows run faster than h-long ones.
-        u, mass = np.multiply.outer(pv_j, u).ravel() % p, np.multiply.outer(w_j, mass).ravel()
+        u, mass = floor_mod(np.multiply.outer(pv_j, u).ravel(), p), np.multiply.outer(w_j, mass).ravel()
     if len(u) <= limit:
         value = mass @ dilated_char_sums(chi, u, pv, spec.lam, w)
     else:
@@ -266,7 +268,7 @@ def character_sum_split(spec: SumSpec, chi: MultChar) -> SumResult:
             d = np.zeros(p - 1, dtype=np.complex128)
             for w_x, d_x in zip(w_j, rotated):
                 d += w_x * d_x
-        table = np.take(chi.table(), ctx.power + spec.lam, mode="wrap")
+        table = chi.table()[ctx.power + (spec.lam - p)]
         value = w @ [t_x @ d for t_x in _rotations(table, ctx.index[pv])]
     return SumResult(value=complex(value), terms=_terms(spec), method="split")
 

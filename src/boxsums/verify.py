@@ -485,20 +485,23 @@ def _check_count_diagonal(grid: VerifyGrid, store, out: CheckResult) -> None:
 def _check_product_inequality(grid: VerifyGrid, store, out: CheckResult) -> None:
     plain_violations = 0
     pool = [e for e in range(-3, 4) if e != 0]
+    # Neither depends on p: every exponent vector and every box, in (h, k) order, built once.
+    vectors = [ExponentVector(e) for e in itertools.product(pool, repeat=2)]
+    sides, corners = itertools.product((3, 4, 5), repeat=2), list(itertools.product((0, 1), repeat=2))
+    boxes = [Box(k, h) for h in sides for k in corners]
     for p in (5, 7, 11, 13):
         ctx = grid.ctx(p)
         # The plain counts I_j for nu = 2, once per side (h_j, k_j) of this p.
         plain = {(h_j, k_j): counts.count_product_pairs_brute(ctx, 2, h_j, k_j).value
                  for h_j in (3, 4, 5) if h_j < p for k_j in (0, 1)}
-        for e in itertools.product(pool, repeat=2):
-            for h in itertools.product((3, 4, 5), repeat=2):
-                if max(h) >= p:
+        for ev in vectors:
+            for box in boxes:
+                if max(box.sides) >= p:
                     continue
-                for k in itertools.product((0, 1), repeat=2):
-                    i_counts = [plain[side] for side in zip(h, k)]
-                    rep = counts.product_inequality_report(ctx, ExponentVector(e), Box(k, h), i_counts)
-                    out.add(0.0, not rep.holds_gcd and f"gcd form broken: p={p}, e={e}, h={h}, k={k}")
-                    plain_violations += not rep.holds_plain
+                i_counts = [plain[side] for side in zip(box.sides, box.k)]
+                rep = counts.product_inequality_report(ctx, ev, box, i_counts)
+                out.add(0.0, not rep.holds_gcd and f"gcd form broken: p={p}, e={ev.e}, h={box.h}, k={box.k}")
+                plain_violations += not rep.holds_plain
     if plain_violations:
         out.notes = f"plain-form findings (logged, not failed): {plain_violations}"
 

@@ -120,14 +120,16 @@ def test_criterion_5_product_inequality_gcd():
 
 
 def _fresh_against_caps(store, family):
-    """(key, fresh max ratio, stored cap) per CALIBRATED entry whose key starts with family."""
+    """(key, fresh max ratio, stored cap) per CALIBRATED key that starts with family."""
     cfg = ExperimentConfig(seed=SEED, trials=CALIBRATION_TRIALS)
     rows = []
-    for key, _, fresh in CALIBRATED:
-        if key.startswith(family):
-            cap = store.cap(key)
-            assert cap is not None, f"missing calibration for {key}"
-            rows.append((key, fresh(cfg), cap))
+    for keys, _, fresh in CALIBRATED:
+        if any(key.startswith(family) for key in keys):
+            for key, best in zip(keys, fresh(cfg), strict=True):
+                if key.startswith(family):
+                    cap = store.cap(key)
+                    assert cap is not None, f"missing calibration for {key}"
+                    rows.append((key, best, cap))
     return rows
 
 

@@ -100,14 +100,21 @@ class TestMultChar:
             total = sum(MultChar(ctx, a)(x) for x in range(p))
             assert abs(total) < 1e-9
 
-    @pytest.mark.parametrize("p", [5, 101, 1009, 10007])
+    @pytest.mark.parametrize("p", [3, 5, 101, 1009, 10007, 65537])
     def test_table_matches_exp_formula_exactly(self, p):
+        # The table reads char_roots at a*ind mod p-1, reduced by floor division: bit for bit the
+        # entries `%` picks, the sentinel index[0] = -1 included, with chi(0) zeroed.
         ctx = build_context(p)
         m = p - 1
-        for a in (1, 2, m // 2, m - 1):
+        for a in sorted({0, 1, 2, m // 2, m - 1, int(np.random.default_rng(p).integers(0, m))}):
             want = np.exp(2j * np.pi * ((a * ctx.index) % m) / m)
             want[0] = 0.0
-            assert np.array_equal(MultChar(ctx, a).table(), want)
+            gathered = ctx.char_roots[(a * ctx.index) % m]
+            gathered[0] = 0.0
+            table = MultChar(ctx, a).table()
+            assert table.shape == (p,) and not table.flags.writeable
+            assert np.array_equal(table, want)
+            assert np.array_equal(table.view(np.float64), gathered.view(np.float64))
 
     def test_char_power(self, ctx11):
         # chi_a^e is chi_{a*e}: the index reduced mod p-1, a negative e included.
@@ -307,6 +314,17 @@ def _direct_dilated(chi, u, x, lam, w):
     return chi.table()[(np.multiply.outer(np.asarray(u, dtype=np.int64), x) + lam) % p] @ w
 
 
+def _wrapped_dilated(chi, u, x, lam, w):
+    """The kernel with u and c_x in [0, p-1] and its index u + c_x reduced by a wrapped take."""
+    ctx, table = chi.ctx, chi.table()
+    p = ctx.p
+    x, lam = np.asarray(x, dtype=np.int64) % p, lam % p
+    c = ctx.power[(ctx.index[lam] - ctx.index[x]) % (p - 1)] if lam else np.zeros_like(x)
+    idx = np.add.outer(np.asarray(u, dtype=np.int64) % p, c)
+    out = np.take(table, idx, mode="wrap") @ (w * table[x])
+    return out if x.all() else out + w[x == 0].sum() * table[lam]
+
+
 def _kernel_weights(kind, x, p, rng):
     if kind == "unit":
         return np.ones(len(x), dtype=np.complex128)
@@ -335,11 +353,13 @@ class TestDilatedCharSums:
                 x = np.arange(k + 1, k + h + 1, dtype=np.int64)
                 w = _kernel_weights(kind, x, p, rng)
                 tol = 1e-12 * max(1.0, float(np.abs(w).sum()))
-                for lam in (0, p, -p, 3, -7, 2 * p + 1):
+                for lam in (0, p, -p, 1, 3, -7, -1, 2 * p + 1):
                     want = _direct_dilated(chi, u, x, lam, w)
                     got = dilated_char_sums(chi, u, x, lam, w)
                     assert got.shape == want.shape
                     assert np.abs(got - want).max() <= tol, (a, k, lam)
+                    # Each index u + c_x - p in [-p, p-2] reads the entry a wrapped take reads at u + c_x.
+                    assert np.array_equal(got, _wrapped_dilated(chi, u, x, lam, w)), (a, k, lam)
                     for ui, wi in zip(u.tolist(), want):
                         assert abs(complex(dilated_char_sums(chi, ui, x, lam, w)) - wi) <= tol
 
@@ -349,6 +369,7 @@ class TestDilatedCharSums:
         x, w = np.array([0, 11, -22]), np.array([0.5, 0.25j, -1.0])
         got = dilated_char_sums(chi, np.arange(-2, 13), x, 4, w)
         assert np.abs(got - w.sum() * chi(4)).max() < 1e-15
+        assert np.array_equal(got, _wrapped_dilated(chi, np.arange(-2, 13), x, 4, w))
         assert np.abs(dilated_char_sums(chi, np.arange(5), x, 0, w)).max() == 0
 
 

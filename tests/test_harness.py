@@ -430,6 +430,36 @@ class TestCalibrate:
                 entry["max_ratio"], rel=1e-12, abs=0
             ), key
 
+    def test_joint_theorem_sweep_writes_the_lone_sweeps_store(self, tmp_path, green_verify, monkeypatch):
+        # The theorem ratios come from one joint sweep of the calibrated families; the store it
+        # writes for seed 0 is byte for byte the one that one lone sweep per (family, n) writes.
+        evaluate, evaluated = harness._evaluate, []
+
+        def spy(is_char, ctx, n, h, trial, config):
+            evaluated.append((is_char, n, ctx.p, h, trial))
+            return evaluate(is_char, ctx, n, h, trial, config)
+
+        monkeypatch.setattr(harness, "_evaluate", spy)
+        cfg = ExperimentConfig(mode="calibrate", seed=0, trials=harness.CALIBRATION_TRIALS)
+        joint = CalibrationStore(str(tmp_path / "joint.json"))
+        run_calibrate(cfg, joint, emit=lambda line: None)
+        assert len(evaluated) == len(set(evaluated)) == 1900
+        lone = CalibrationStore(str(tmp_path / "lone.json"))
+        lone.entries = json.loads((tmp_path / "joint.json").read_text(encoding="utf-8"))
+        records = 0
+        for selector in harness.CALIBRATED_SELECTORS:
+            for n in bounds.DIMS[selector]:
+                sweep = ExperimentConfig(
+                    mode="sweep", primes=list(harness.CALIBRATION_PRIMES), n=[n], bounds=[selector],
+                    trials=harness.CALIBRATION_TRIALS, seed=0,
+                )
+                ratios = [rec.ratio for rec in run_sweep(sweep).records]
+                records += len(ratios)
+                lone.entries[f"{selector}/n={n}"]["max_ratio"] = max(ratios)
+        lone.save()
+        assert records == 2550
+        assert (tmp_path / "joint.json").read_bytes() == (tmp_path / "lone.json").read_bytes()
+
 
 class TestCheckResult:
     def test_add_counts_one_instance_by_default(self):

@@ -18,6 +18,7 @@ from boxsums.modular import (
     ExponentVector,
     box_powers,
     build_context,
+    floor_mod,
     interval_residues,
     inv_mod,
     is_prime,
@@ -95,6 +96,18 @@ class TestInvMod:
         if a % p == 0:
             return
         assert a * inv_mod(a, p) % p == 1
+
+
+class TestFloorMod:
+    @pytest.mark.parametrize("m", [2, 4, 1008, 10006, 2**31 - 2])
+    def test_equals_remainder_and_leaves_input(self, m):
+        rng = np.random.default_rng(m)
+        x = np.concatenate([rng.integers(-(2**62), 2**62, 500), [0, 1, -1, m, -m, m - 1, 1 - m, 2**62, -(2**62)]])
+        before = x.copy()
+        got = floor_mod(x, m)
+        assert got.dtype == np.int64 and np.array_equal(got, x % m)
+        assert np.array_equal(x, before)
+        assert floor_mod(x[:0], m).shape == (0,)
 
 
 class TestPrimitiveRoot:

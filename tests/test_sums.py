@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -305,6 +306,49 @@ class TestCharacterSums:
             naive = character_sum_naive(spec, chi)
             fast = character_sum_split(spec, chi)
             assert abs(naive.value - fast.value) < agreement_tolerance(naive.terms)
+
+
+class TestCharacterSumRecount:
+    """Split (sparse and dense) and naive T against a cmath recount at the offset extremes
+    lam = 1 and lam = p - 1, where the gathers read the character table at its two ends."""
+
+    # (p, n, h, dense): at p = 101 (dense_fold_limit 50) whether the split contracts densely.
+    CASES = [(31, 2, 5, False), (31, 3, 10, True), (101, 2, 30, False), (101, 2, 60, True), (101, 3, 10, True)]
+
+    @staticmethod
+    def _recount(spec, a):
+        p, g = spec.ctx.p, spec.ctx.g
+        ind = {pow(g, i, p): i for i in range(p - 1)}
+        rows = [[(k_j + x) % p for x in range(1, spec.box.sides[j] + 1)] for j, k_j in enumerate(spec.box.k)]
+        total = 0j
+        for tup in itertools.product(*rows):
+            if 0 in tup:
+                continue
+            v = (math.prod(pow(x, e_j, p) for x, e_j in zip(tup, spec.e.e)) + spec.lam) % p
+            if v:
+                total += cmath.exp(2j * cmath.pi * (a * ind[v] % (p - 1)) / (p - 1))
+        return total
+
+    @pytest.mark.parametrize("p, n, h, dense", CASES)
+    def test_split_and_naive_match_recount(self, p, n, h, dense, monkeypatch):
+        from boxsums import sums
+
+        rotations, calls = sums._rotations, []
+        monkeypatch.setattr(sums, "_rotations", lambda a, shifts: calls.append(len(shifts)) or rotations(a, shifts))
+        ctx = build_context(p)
+        k = tuple(range(n)) if n * h < p else (0,) * n
+        rng = np.random.default_rng(p * n + h)
+        for lam in (1, p - 1):
+            spec = _spec(ctx, k, h, (1, -1, 2)[:n], lam=lam)
+            for a in (1, (p - 1) // 2, int(rng.integers(2, p - 1))):
+                chi = MultChar(ctx, a)
+                want = self._recount(spec, a)
+                calls.clear()
+                split = character_sum_split(spec, chi)
+                assert bool(calls) == dense
+                naive = character_sum_naive(spec, chi)
+                tol = agreement_tolerance(naive.terms)
+                assert abs(split.value - want) < tol and abs(naive.value - want) < tol, (lam, a)
 
 
 class TestSupportRestriction:
