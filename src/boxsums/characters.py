@@ -5,13 +5,13 @@ entries: by FFT, or at given frequencies summed over the entries in the index
 domain, e_p(w*v) = E[ind w + ind v] with E[i] = e_p(g^i), where
 `support_sum_limit` says that is cheaper (the O(p^2) `spectrum_direct` is the
 reference the tests and the verify suite compare against). Also the one kernel
-for dilated character sums sum_x w(x) chi(u*x + lam) and their moments, which
-the interval and split sums call: chi(u*x + lam) = chi(x) chi(u + c_x) with
-c_x = lam * x^{-1} = g^{ind lam - ind x}, so a term is one addition
-u + (c_x - p) in [-p, p-2] and one plain gather, whose negative index wraps
-once. Long per-call arrays are reduced by `modular.floor_mod`, not `%`, and
-no gather takes numpy's `mode="wrap"`, which cost 31 against 9 us per 10^4
-indices (numpy 2.4.6).
+for dilated character sums sum_x w(x) chi(u*x + lam), `dilated_residue_sums`:
+chi(u*x + lam) = chi(x) chi(u + c_x) with c_x = lam * x^{-1} = g^{ind lam - ind x},
+so a term is one addition u + (c_x - p) in [-p, p-2] and one plain gather, whose
+negative index wraps once. It takes residues: its public form `dilated_char_sums`
+reduces any integers first (an array u by `modular.floor_mod`), and the split
+sum's fold, which holds residues already, calls it directly. No gather takes
+numpy's `mode="wrap"`, which cost 31 against 9 us per 10^4 indices (numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -172,25 +172,32 @@ def _interval_weights(h: int, rho: Sequence[complex] | None) -> np.ndarray:
 
 
 def dilated_char_sums(chi: MultChar, u, x: np.ndarray, lam: int, w: np.ndarray) -> np.ndarray:
-    """sum_x w(x) * chi(u*x + lam) for an integer u, or for each u of an int64 array.
+    """sum_x w(x) * chi(u*x + lam) for an integer u, or for each u of an int64 array,
+    with u, the points x and lam any integers: reduced mod p here, then summed by
+    `dilated_residue_sums`."""
+    p = chi.ctx.p
+    # A Python int u may exceed int64, so it is reduced before conversion.
+    us = floor_mod(u, p) if isinstance(u, np.ndarray) else np.asarray(u % p, dtype=np.int64)
+    return dilated_residue_sums(chi, us, np.asarray(x, dtype=np.int64) % p, lam % p, w)
+
+
+def dilated_residue_sums(chi: MultChar, u: np.ndarray, x: np.ndarray, lam: int, w: np.ndarray) -> np.ndarray:
+    """dilated_char_sums for residues: u and x int64 arrays (u may be 0-d) and lam, all in [0, p).
 
     Each point x nonzero mod p contributes w(x) chi(x) * chi(u + c_x) with
-    c_x = lam * x^{-1} = g^{ind lam - ind x} mod p (0 if lam = 0 mod p), since
-    chi(u*x + lam) = chi(x) chi(u + lam * x^{-1}). With u and c_x reduced mod p, the
-    index u + (c_x - p) lies in [-p, p-2], and a plain gather reads a negative index
-    from the end of the table, so each pair is one addition and one bounds-checked read.
-    Points x = 0 mod p contribute w(x) chi(lam); in the gather chi(0) = 0 zeroes
+    c_x = lam * x^{-1} = g^{ind lam - ind x} mod p (0 if lam = 0), since
+    chi(u*x + lam) = chi(x) chi(u + lam * x^{-1}). The index u + (c_x - p) lies in
+    [-p, p-2], and a plain gather reads a negative index from the end of the table,
+    so each pair is one addition and one bounds-checked read.
+    Points x = 0 contribute w(x) chi(lam); in the gather chi(0) = 0 zeroes
     their weight, whatever c the sentinel index[0] = -1 gives them.
     """
     ctx, table = chi.ctx, chi.table()
     p = ctx.p
-    x, lam = np.asarray(x, dtype=np.int64) % p, lam % p
     c = ctx.power[(ctx.index[lam] - ctx.index[x]) % (p - 1)] if lam else np.zeros_like(x)
-    # A Python int u may exceed int64, so it is reduced before conversion.
-    us = floor_mod(u, p) if isinstance(u, np.ndarray) else np.asarray(u % p, dtype=np.int64)
     wx, c = w * table[x], c - p
     rows = _block_rows(p, len(x))
-    blocks = [us] if us.size <= rows else [us[i : i + rows] for i in range(0, len(us), rows)]
+    blocks = [u] if u.size <= rows else [u[i : i + rows] for i in range(0, len(u), rows)]
     out = [table[np.add.outer(b, c)] @ wx for b in blocks]
     out = out[0] if len(out) == 1 else np.concatenate(out)
     return out if x.all() else out + w[x == 0].sum() * table[lam]

@@ -374,10 +374,7 @@ def char_moment_shape_ratio(seed: int, r: int) -> float:
         ctx = build_context(p)
         for i in range(10):
             rng = substream(seed, p, 70_000, r, i)
-            a = int(rng.integers(1, p - 1))
-            h = int(rng.integers(3, p))
-            k = int(rng.integers(0, p))
-            lam = draw_coprime_lambda(rng, p)
+            a, h, k, lam = rng.integers([1, 3, 0, 1], [p - 1, p, p, p]).tolist()
             moment = characters.char_moment(MultChar(ctx, a), k, h, lam, None, r)
             best = max(best, moment / bounds.char_moment_shape(r, h, p))
     return best

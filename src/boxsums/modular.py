@@ -89,13 +89,19 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
+FLOOR_MOD_CROSSOVER = 640  # the shortest array floor_mod does not reduce by one `%`
+
+
 def floor_mod(x: np.ndarray, m: int) -> np.ndarray:
     """x mod m in [0, m) for an int64 array x (left unchanged), negative entries included.
 
     numpy divides int64 by a scalar with a multiply and shift, but takes `%` by a
     slower path: over 10^4 entries `x % m` took 34 us against 14 us for this, and
-    118 against 41 us over 3.5 * 10^4 (numpy 2.4.6, timeit). Below a few hundred
-    entries its three calls cost more than one `%`, so short arrays keep `%`."""
+    118 against 41 us over 3.5 * 10^4. Short arrays keep `%`, which took 0.82, 0.90,
+    1.0 and 1.1 times these three calls' time at 384, 512, 640 and 768 entries, for
+    m in {1008, 10007, 2^31 - 2} (numpy 2.4.6, timeit)."""
+    if x.size < FLOOR_MOD_CROSSOVER:
+        return x % m
     q = np.floor_divide(x, m, out=np.empty_like(x))
     q *= m
     return np.subtract(x, q, out=q)

@@ -2,8 +2,10 @@
 
 Every trial gets its own substream derived from (seed, cell key, trial
 index), so cells are reproducible independently and in any order.
-Each draw is one generator call per kind: numpy takes bounded integers and doubles off
-the bit stream alike one at a time or as an array, so the streams equal per-coordinate draws.
+Each draw is one generator call per kind, and a run of scalars with different bounds may be
+one call with arrays of bounds: numpy draws a bounded integer below 2^32 from 32-bit words by
+Lemire's method, the same words for one value or an array, and doubles alike one at a time or
+as an array, so the streams equal per-coordinate draws.
 """
 
 from __future__ import annotations

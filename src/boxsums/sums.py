@@ -31,8 +31,8 @@ from .characters import (
     ResidueDistribution,
     additive_spectrum,
     check_weight_bound,
-    dilated_char_sums,
     dilated_moments,
+    dilated_residue_sums,
 )
 from .errors import DimensionTooSmallError, LambdaDivisibleError
 from .modular import Box, ExponentVector, PrimeContext, box_powers, floor_mod, monomial_values
@@ -240,7 +240,7 @@ def character_sum_split(spec: SumSpec, chi: MultChar) -> SumResult:
 
     While the entries number at most dense_fold_limit(p) the fold stays on
     entries, each fold's products reduced by `modular.floor_mod`, and the
-    contraction is dilated_char_sums over them. Past it the entries are summed
+    contraction is dilated_residue_sums over them. Past it the entries are summed
     once into a dense D[ind u] of length p-1. Since ind(u * x^e) = ind u + ind x^e,
     folding in a coordinate is D[i] <- sum_x w(x) D[i - ind x^e], and the value is
     sum_x rho_n(x) sum_i D[i] K[i + ind x^{e_n}] with K[i] = chi(g^i + lam),
@@ -258,7 +258,7 @@ def character_sum_split(spec: SumSpec, chi: MultChar) -> SumResult:
         # The new coordinate varies slowest: long rows run faster than h-long ones.
         u, mass = floor_mod(np.multiply.outer(pv_j, u).ravel(), p), np.multiply.outer(w_j, mass).ravel()
     if len(u) <= limit:
-        value = mass @ dilated_char_sums(chi, u, pv, spec.lam, w)
+        value = mass @ dilated_residue_sums(chi, u, pv, spec.lam, w)
     else:
         d = np.zeros(p - 1, dtype=np.complex128)
         np.add.at(d, ctx.index[u], mass)

@@ -29,7 +29,7 @@ from .errors import ConfigInvalidError, OutOfRangeError
 from .modular import (
     Box, ExponentVector, PrimeContext, box_powers, build_context, inv_mod, monomial_eval, monomial_values, pow_mod
 )
-from .sampling import WEIGHT_KINDS, draw_coprime_lambda, draw_spec, substream
+from .sampling import WEIGHT_KINDS, draw_spec, substream
 from .sums import SumSpec, UnitWeights, agreement_tolerance
 
 
@@ -297,10 +297,7 @@ def _check_char_moment_recount(grid: VerifyGrid, store, out: CheckResult) -> Non
         ctx = grid.ctx(p)
         for i in range(5):
             rng = substream(grid.seed, p, 9003, i)
-            a = int(rng.integers(1, p - 1))
-            h = int(rng.integers(1, min(p, 9)))
-            k = int(rng.integers(0, p))
-            lam = draw_coprime_lambda(rng, p)
+            a, h, k, lam = rng.integers([1, 1, 0, 1], [p - 1, min(p, 9), p, p]).tolist()
             rho = rng.uniform(0, 1, size=h) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=h))
             chi = MultChar(ctx, a)
             got = characters.char_moment(chi, k, h, lam, rho, r=1)
@@ -426,8 +423,8 @@ def _check_kloosterman(grid: VerifyGrid, store, out: CheckResult) -> None:
     for p, n, h in _iter_cells(grid):
         ctx = grid.ctx(p)
         rng = substream(grid.seed, p, n, h, 60_000)
-        box = Box(tuple(int(v) for v in rng.integers(0, p, size=n)), h)
-        lam = draw_coprime_lambda(rng, p)
+        *k, lam = rng.integers([0] * n + [1], p).tolist()
+        box = Box(tuple(k), h)
         viaK = sums.kloosterman_sum(ctx, box, lam, (0,) * n)
         spec = SumSpec(ctx, box, ExponentVector((-1,) * n), UnitWeights(), lam)
         viaS = sums.monomial_sum_naive(spec)

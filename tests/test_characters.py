@@ -489,3 +489,56 @@ def test_context_tables_are_freed_with_their_context():
     finally:
         tracemalloc.stop()
     assert held < 2**20
+
+
+def _cmath_char(p, g, a):
+    """chi_a by cmath from a discrete log found by repeated multiplication, with no tables."""
+    log, x = {}, 1
+    for i in range(p - 1):
+        log[x] = i
+        x = x * g % p
+    return lambda v: 0j if v % p == 0 else cmath.exp(2j * cmath.pi * a * log[v % p] / (p - 1))
+
+
+class TestReductionAtTheBoundary:
+    """The public character sums take any integers and reduce them mod p: checked against a cmath recount."""
+
+    BIG = 2**64 + 3  # a Python int above 2^63, beyond int64
+
+    @pytest.mark.parametrize("p", [5, 101, 10007])
+    def test_dilated_char_sums_unreduced_inputs(self, p):
+        ctx = build_context(p)
+        a = 7 % (p - 1) or 1
+        chi, ref = MultChar(ctx, a), _cmath_char(p, ctx.g, a)
+        # x holds multiples of p, negatives and values >= p.
+        x = np.array([0, p, -p, 3 * p, -1, -p - 2, 1, p + 1, 2 * p - 1, 5], dtype=np.int64)
+        w = np.exp(1j * np.arange(len(x)))
+        for lam in (p + 3, 7 * p, -p - 1, 10**12 + 1):
+            for u in (-3, -p - 1, p, 2 * p + 5, self.BIG, -self.BIG, 10**30 + 7):
+                want = sum(wi * ref(u * xi + lam) for wi, xi in zip(w.tolist(), x.tolist()))
+                assert abs(complex(dilated_char_sums(chi, u, x, lam, w)) - want) <= 1e-9, (u, lam)
+            # An int64 array u, with negatives and values >= p, in one call.
+            us = np.array([-3, -p - 1, p, 2 * p + 5, 2**62, -(2**62)], dtype=np.int64)
+            got = dilated_char_sums(chi, us, x, lam, w)
+            want = [sum(wi * ref(ui * xi + lam) for wi, xi in zip(w.tolist(), x.tolist())) for ui in us.tolist()]
+            assert np.abs(got - want).max() <= 1e-9, lam
+
+    @pytest.mark.parametrize("p", [5, 13, 101])
+    def test_interval_sum_and_moment_unreduced_inputs(self, p):
+        ctx = build_context(p)
+        a = 3 % (p - 1) or 1
+        chi, ref = MultChar(ctx, a), _cmath_char(p, ctx.g, a)
+        h = min(p - 1, 6)
+        rho = [cmath.exp(0.3j * i) * 0.9 for i in range(h)]
+        for k in (-h // 2, p - 2, -p - 1, self.BIG, -self.BIG):
+            for lam in (p + 2, -p - 1, self.BIG + 1):
+                if lam % p == 0:
+                    continue
+                for u in (-1, p + 4, self.BIG):
+                    got = char_interval_sum(chi, k, h, u, lam, rho)
+                    want = sum(r * ref(u * (k + i) + lam) for i, r in enumerate(rho, 1))
+                    assert abs(got - want) <= 1e-9, (k, lam, u)
+                got = char_moment(chi, k, h, lam, rho, r=2)
+                inner = [sum(r * ref(u * (k + i) + lam) for i, r in enumerate(rho, 1)) for u in range(1, p)]
+                want = sum(abs(s) ** 4 for s in inner)
+                assert abs(got - want) <= 1e-9 * (1 + want), (k, lam)

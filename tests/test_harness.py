@@ -28,7 +28,8 @@ from boxsums.harness import (
     write_records_csv,
     write_records_json,
 )
-from boxsums.modular import build_context
+from boxsums.characters import MultChar
+from boxsums.modular import Box, ExponentVector, build_context
 from boxsums.sampling import substream
 from boxsums.sums import SumResult
 from boxsums.verify import CHECKS, DEFAULT_PRIMES, CheckResult, VerifyGrid, VerifyReport, run_verify
@@ -67,6 +68,38 @@ class TestSampling:
         a = substream(7, 101, 4, 3, 0).integers(0, 1000, size=8)
         b = substream(7, 101, 4, 3, 1).integers(0, 1000, size=8)
         assert not (a == b).all()
+
+    @pytest.mark.parametrize("weights", ["unit", "phase", "table"])
+    @pytest.mark.parametrize("lam", [None, 10**9 + 7])
+    def test_sweep_draws_equal_separate_calls(self, weights, lam):
+        # The sweep's order, written out one generator call per kind: lam first unless fixed,
+        # then the corners, the exponents and the weights, and the character index last.
+        cfg = _sweep_config(primes=[3, 5, 101, 10007], n=[2, 4], h=[1, 2], trials=3, weights=weights)
+        cfg.bounds = ["s-almost", "t-almost"]
+        if lam is not None:
+            cfg.lambda_policy, cfg.lambda_value = "fixed", lam
+        result = run_sweep(cfg)
+        assert len(result.records) == 2 * 4 * 2 * 2 * 3
+        contexts = {p: build_context(p) for p in cfg.primes}
+        for r in result.records:
+            p, n, h, ctx, pool = r.p, r.n, r.h, contexts[r.p], cfg.exponent_pool
+            rng = substream(cfg.seed, p, n, h, r.trial)
+            want_lam = lam % p if lam is not None else int(rng.integers(1, p))
+            k = (0,) * n if r.trial == 0 else tuple(rng.integers(0, p, size=n).tolist())
+            e = tuple(pool[i] for i in rng.integers(0, len(pool), size=n).tolist())
+            if weights == "phase":
+                rho = sums.PhaseWeights(rng.integers(0, p, size=n).tolist())
+            elif weights == "table":
+                u = rng.random((n, 2, h))
+                rho = sums.TableWeights(u[:, 0] * np.exp(1j * (2 * np.pi * u[:, 1])))
+            else:
+                rho = sums.UnitWeights()
+            is_char = r.selector == "t-almost"
+            a = int(rng.integers(1, p - 1)) if is_char else -1
+            assert (r.k, r.e, r.lam, r.char_index) == (k, e, want_lam, a), r
+            spec = sums.SumSpec(ctx, Box(k, h), ExponentVector(e), rho, want_lam)
+            value = sums.character_sum_split(spec, MultChar(ctx, a)) if is_char else sums.monomial_sum_bilinear(spec)
+            assert r.abs_sum == abs(value.value), r
 
 
 class TestSweep:

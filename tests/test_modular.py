@@ -14,6 +14,7 @@ from boxsums.errors import (
     ZeroToNegativePowerError,
 )
 from boxsums.modular import (
+    FLOOR_MOD_CROSSOVER,
     Box,
     ExponentVector,
     box_powers,
@@ -108,6 +109,33 @@ class TestFloorMod:
         assert got.dtype == np.int64 and np.array_equal(got, x % m)
         assert np.array_equal(x, before)
         assert floor_mod(x[:0], m).shape == (0,)
+
+    @pytest.mark.parametrize("m", [3, 1008, 10007, 2**31 - 2])
+    def test_both_sides_of_the_crossover(self, m):
+        # Below FLOOR_MOD_CROSSOVER entries floor_mod takes one `%`, from it three numpy calls.
+        rng = np.random.default_rng(m)
+        for size in (0, 1, FLOOR_MOD_CROSSOVER - 1, FLOOR_MOD_CROSSOVER, 10**4):
+            x = rng.integers(-(2**62), 2**62, size)
+            x[: size // 3] = rng.integers(-3 * m, 3 * m, size // 3)  # small entries, negatives among them
+            x[: size // 7] = rng.integers(-3, 4, size // 7) * m  # multiples of m
+            before = x.copy()
+            got = floor_mod(x, m)
+            assert got.dtype == np.int64 and got.shape == (size,), size
+            assert np.array_equal(got, x % m) and got.min(initial=0) >= 0 and got.max(initial=0) < m, size
+            assert np.array_equal(x, before) and got is not x, size
+
+
+def test_interval_residues_reduce_any_integer_corner():
+    # Python ints beyond int64 and negatives are reduced before they reach numpy.
+    p, h = 101, 7
+    for k in (2**64 + 5, -(2**70) - 1, -3, p * 2**65 - 2, 0):
+        want = [(k + i) % p for i in range(1, h + 1)]
+        assert interval_residues((k,), h, p)[0].tolist() == want, k
+    for h in (0, p):
+        with pytest.raises(ValueError, match="need 1 <= h < p"):
+            interval_residues((2**64,), h, p)
+    with pytest.raises(ValueError, match="need 1 <= h < p"):
+        box_powers(build_context(p), Box((2**64,), p), (1,))
 
 
 class TestPrimitiveRoot:
