@@ -5,13 +5,11 @@ entries: by FFT, or at given frequencies summed over the entries in the index
 domain, e_p(w*v) = E[ind w + ind v] with E[i] = e_p(g^i), where
 `support_sum_limit` says that is cheaper (the O(p^2) `spectrum_direct` is the
 reference the tests and the verify suite compare against). Also the one kernel
-for dilated character sums sum_x w(x) chi(u*x + lam), `dilated_residue_sums`:
-chi(u*x + lam) = chi(x) chi(u + c_x) with c_x = lam * x^{-1} = g^{ind lam - ind x},
-so a term is one addition u + (c_x - p) in [-p, p-2] and one plain gather, whose
-negative index wraps once. It takes residues: its public form `dilated_char_sums`
-reduces any integers first (an array u by `modular.floor_mod`), and the split
-sum's fold, which holds residues already, calls it directly. No gather takes
-numpy's `mode="wrap"`, which cost 31 against 9 us per 10^4 indices (numpy 2.4.6).
+for dilated character sums sum_x w(x) chi(u*x + lam), `dilated_residue_sums`,
+which takes residues: the split sum's fold and `holder_majorant` hold them, and
+`char_interval_sum` and `char_moment` reduce their integers at the boundary. No
+gather takes numpy's `mode="wrap"`, which cost 31 against 9 us per 10^4 indices
+(numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -111,7 +109,8 @@ def support_sum_limit(p: int, supp: int) -> int:
     """The most frequencies that additive_spectrum sums over `supp` entries:
     |at| * supp pairs cost at most one FFT (with densifying and the gather),
     about 2 * p * ceil(log2 p) pairs. Timed crossovers: 1.6 at p = 100003, 2 at
-    p = 10007, 3 at p = 1009, above 4 at p <= 101 (tens of microseconds)."""
+    p = 10007, 3 at p = 1009, above 4 at p <= 101. Both branches pay: the
+    `sweep-s` benchmark took 1.14x the time with no FFT branch, 3.0x with no sum."""
     return 2 * p * (p - 1).bit_length() // max(supp, 1)
 
 
@@ -171,18 +170,8 @@ def _interval_weights(h: int, rho: Sequence[complex] | None) -> np.ndarray:
     return w
 
 
-def dilated_char_sums(chi: MultChar, u, x: np.ndarray, lam: int, w: np.ndarray) -> np.ndarray:
-    """sum_x w(x) * chi(u*x + lam) for an integer u, or for each u of an int64 array,
-    with u, the points x and lam any integers: reduced mod p here, then summed by
-    `dilated_residue_sums`."""
-    p = chi.ctx.p
-    # A Python int u may exceed int64, so it is reduced before conversion.
-    us = floor_mod(u, p) if isinstance(u, np.ndarray) else np.asarray(u % p, dtype=np.int64)
-    return dilated_residue_sums(chi, us, np.asarray(x, dtype=np.int64) % p, lam % p, w)
-
-
 def dilated_residue_sums(chi: MultChar, u: np.ndarray, x: np.ndarray, lam: int, w: np.ndarray) -> np.ndarray:
-    """dilated_char_sums for residues: u and x int64 arrays (u may be 0-d) and lam, all in [0, p).
+    """sum_x w(x) * chi(u*x + lam) for each u; u (an int64 array, maybe 0-d), x and lam are residues.
 
     Each point x nonzero mod p contributes w(x) chi(x) * chi(u + c_x) with
     c_x = lam * x^{-1} = g^{ind lam - ind x} mod p (0 if lam = 0), since
@@ -190,8 +179,7 @@ def dilated_residue_sums(chi: MultChar, u: np.ndarray, x: np.ndarray, lam: int, 
     [-p, p-2], and a plain gather reads a negative index from the end of the table,
     so each pair is one addition and one bounds-checked read.
     Points x = 0 contribute w(x) chi(lam); in the gather chi(0) = 0 zeroes
-    their weight, whatever c the sentinel index[0] = -1 gives them.
-    """
+    their weight, whatever c the sentinel index[0] = -1 gives them."""
     ctx, table = chi.ctx, chi.table()
     p = ctx.p
     c = ctx.power[(ctx.index[lam] - ctx.index[x]) % (p - 1)] if lam else np.zeros_like(x)
@@ -204,9 +192,9 @@ def dilated_residue_sums(chi: MultChar, u: np.ndarray, x: np.ndarray, lam: int, 
 
 
 def dilated_moments(chi: MultChar, x: np.ndarray, lam: int, w: np.ndarray, orders: Sequence[int]) -> list[float]:
-    """sum_{u=1}^{p-1} |dilated_char_sums(chi, u, x, lam, w)|^{2r} for each r in
-    orders, all from one length-(p-1) table of the inner sums; requires a
-    nonprincipal chi, gcd(lam, p) = 1 and every r >= 1."""
+    """sum_{u=1}^{p-1} |dilated_residue_sums(chi, u, x, lam, w)|^{2r} for each r in
+    orders, all from one length-(p-1) table of the inner sums; x and lam are
+    residues. Requires a nonprincipal chi, gcd(lam, p) = 1 and every r >= 1."""
     p = chi.ctx.p
     if chi.is_principal:
         raise PrincipalCharacterError("moment sum needs a nonprincipal character")
@@ -214,7 +202,7 @@ def dilated_moments(chi: MultChar, x: np.ndarray, lam: int, w: np.ndarray, order
         raise LambdaDivisibleError("lam must be coprime to p")
     if any(r < 1 for r in orders):
         raise ValueError("moment order r must be >= 1")
-    inner = np.abs(dilated_char_sums(chi, np.arange(1, p, dtype=np.int64), x, lam, w))
+    inner = np.abs(dilated_residue_sums(chi, np.arange(1, p, dtype=np.int64), x, lam, w))
     return [float((inner ** (2 * r)).sum()) for r in orders]
 
 
@@ -226,9 +214,12 @@ def char_interval_sum(
     lam: int,
     rho: Sequence[complex] | None = None,
 ) -> complex:
-    """sum_{x=k+1}^{k+h} rho(x) * chi(u*x + lam); chi(0) terms vanish."""
-    x = interval_residues((k,), h, chi.ctx.p)[0]
-    return complex(dilated_char_sums(chi, u, x, lam, _interval_weights(h, rho)))
+    """sum_{x=k+1}^{k+h} rho(x) * chi(u*x + lam), any integers k, u, lam; chi(0) terms vanish."""
+    p = chi.ctx.p
+    x = interval_residues((k,), h, p)[0]
+    # A Python int u may exceed int64, so it is reduced before conversion.
+    u = np.asarray(u % p, dtype=np.int64)
+    return complex(dilated_residue_sums(chi, u, x, lam % p, _interval_weights(h, rho)))
 
 
 def char_moment(
@@ -240,6 +231,6 @@ def char_moment(
     r: int = 1,
 ) -> float:
     """sum_{u=1}^{p-1} |sum_{x=k+1}^{k+h} rho(x) chi(u*x+lam)|^{2r}, for a
-    nonprincipal chi and gcd(lam, p) = 1."""
+    nonprincipal chi and gcd(lam, p) = 1, for any integers k and lam."""
     x = interval_residues((k,), h, chi.ctx.p)[0]
-    return dilated_moments(chi, x, lam, _interval_weights(h, rho), (r,))[0]
+    return dilated_moments(chi, x, lam % chi.ctx.p, _interval_weights(h, rho), (r,))[0]

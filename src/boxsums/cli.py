@@ -274,6 +274,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigInvalidError, DimensionTooSmallError, NotPrimeError, TooLargeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except MemoryError as exc:  # an input too large for this host; numpy names the allocation
+        print(f"config error: out of memory. {exc}".rstrip(), file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     except AssertionError as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return EXIT_PROPERTY_FAILURE

@@ -3,8 +3,8 @@
 Provides deterministic primality testing, smallest primitive roots,
 a full discrete-log (index) table per prime with its inverse power table
 and the unit-root tables the characters read (all on `PrimeContext`), monomial
-evaluation with positive or negative exponents, `floor_mod` (the reduction of
-long int64 arrays), the `Box` of sums and counts,
+evaluation with positive or negative exponents, `floor_mod` (int64 arrays
+reduced by floor division), the `Box` of sums and counts,
 and the interval kernels, which reduce corners mod p: `interval_residues`
 (points), `box_powers` (x^e as g^{e ind x} at a box's nonzero points, one call
 per box for the sums' coordinates and the counts) and `monomial_values`
@@ -72,12 +72,10 @@ def is_prime(m: int) -> bool:
 
 
 def pow_mod(a: int, e: int, p: int) -> int:
-    """a^e mod p; a negative e raises the modular inverse to |e|."""
+    """a^e mod p; a negative e raises the modular inverse to |e|, by the built-in `pow`."""
     a %= p
-    if e < 0:
-        if a == 0:
-            raise ZeroToNegativePowerError(f"0^{e} mod {p} is undefined")
-        return pow(pow(a, -1, p), -e, p)
+    if e < 0 and a == 0:
+        raise ZeroToNegativePowerError(f"0^{e} mod {p} is undefined")
     return pow(a, e, p)
 
 
@@ -89,19 +87,12 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
-FLOOR_MOD_CROSSOVER = 640  # the shortest array floor_mod does not reduce by one `%`
-
-
 def floor_mod(x: np.ndarray, m: int) -> np.ndarray:
     """x mod m in [0, m) for an int64 array x (left unchanged), negative entries included.
 
     numpy divides int64 by a scalar with a multiply and shift, but takes `%` by a
-    slower path: over 10^4 entries `x % m` took 34 us against 14 us for this, and
-    118 against 41 us over 3.5 * 10^4. Short arrays keep `%`, which took 0.82, 0.90,
-    1.0 and 1.1 times these three calls' time at 384, 512, 640 and 768 entries, for
-    m in {1008, 10007, 2^31 - 2} (numpy 2.4.6, timeit)."""
-    if x.size < FLOOR_MOD_CROSSOVER:
-        return x % m
+    slower path: `x % m` took 34 against 14 us over 10^4 entries (numpy 2.4.6). Below
+    about 640 entries one `%` is a little cheaper, but a branch for it did not pay end to end."""
     q = np.floor_divide(x, m, out=np.empty_like(x))
     q *= m
     return np.subtract(x, q, out=q)

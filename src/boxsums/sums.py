@@ -11,10 +11,10 @@ character sum folds coordinates 0..n-2 in one at a time: on entries while
 they number at most `dense_fold_limit(p)` (half of p-1), then on one dense
 array over the index domain, where each fold and the contraction are
 rotations, since ind(u*x^e) = ind u + ind x^e.
-A frozen `SumSpec` builds its coordinates once, read-only, for every evaluator,
-in one call of the interval kernel `modular.box_powers` on its `modular.Box`
-(which the counts share) with one weight table per spec. The box must be a cube,
-since each weight system builds one n x h table.
+A frozen `SumSpec` builds its coordinates once, read-only, for every evaluator
+and majorant, in one call of the interval kernel `modular.box_powers` on its
+`modular.Box` (which the counts share) with one weight table per spec. The box
+must be a cube, since each weight system builds one n x h table.
 """
 
 from __future__ import annotations
@@ -216,11 +216,11 @@ def dense_fold_limit(p: int) -> int:
     """The most (value, mass) entries that character_sum_split folds as entries;
     past it the fold runs on a dense length-(p-1) array over indices. A dense
     step costs one rotation of p-1 values per point, plus a fixed cost per
-    rotation, against one gather per (entry, point) pair. Timed crossovers,
-    in entries at the contraction over p-1 (n = 2 and 3): 0.1-0.3 at
-    p = 10007, about 1/2 at p = 1009, above 1 at p <= 101, where the fixed
-    cost dominates. Half of p-1 sits between them, and below p entries the
-    sparse side never needs a merge by residue."""
+    rotation, against one gather per (entry, point) pair. Timed crossovers, in
+    entries at the contraction over p-1: 0.1-0.3 at p = 10007, about 1/2 at
+    p = 1009, above 1 at p <= 101. Half of p-1 sits between them, below which
+    entries need no merge. The dense path pays: folding on entries throughout
+    took 1.65x the time of the `sweep-t` benchmark (1.39x with a merge by residue)."""
     return (p - 1) // 2
 
 
@@ -288,19 +288,16 @@ def cauchy_majorant(spec: SumSpec) -> float:
     return math.sqrt(spec.ctx.p * m1 * m2)
 
 
-def holder_majorant(spec: SumSpec, chi: MultChar, r: int | Sequence[int]) -> float | list[float]:
-    """Rigorous Holder-step majorant of the character sum: the 2r-th root of
-    (sum|d0|^2) * (sum|d0|)^{2r-2} * sum_u |inner(u)|^{2r}, where inner(u) is
-    the last-coordinate sum rho_n(x) chi(u*x^{e_n}+lam) over u = 1..p-1.
-    A sequence of orders gives one majorant per order, from one table of
-    inner sums and one d0."""
+def holder_majorant(spec: SumSpec, chi: MultChar, orders: Sequence[int]) -> list[float]:
+    """Rigorous Holder-step majorants of the character sum, one per order r: the
+    2r-th root of (sum|d0|^2) * (sum|d0|)^{2r-2} * sum_u |inner(u)|^{2r}, where
+    inner(u) is the last-coordinate sum rho_n(x) chi(u*x^{e_n}+lam) over
+    u = 1..p-1. Every order reads one table of inner sums and one d0."""
     if spec.n < 2:
         raise DimensionTooSmallError("majorant needs n >= 2")
-    orders = tuple(r) if isinstance(r, Sequence) else (r,)
     pv, w = spec.coordinates[-1]
     moments = dilated_moments(chi, pv, spec.lam, w, orders)
     absd0 = np.abs(monomial_value_distribution(spec, 0, spec.n - 1).values)
     sq = float((absd0**2).sum())
     l1 = float(absd0.sum())
-    out = [(sq * l1 ** (2 * q - 2) * m) ** (1.0 / (2 * q)) for q, m in zip(orders, moments)]
-    return out if isinstance(r, Sequence) else out[0]
+    return [(sq * l1 ** (2 * r - 2) * m) ** (1.0 / (2 * r)) for r, m in zip(orders, moments)]

@@ -13,8 +13,8 @@ from boxsums.characters import (
     additive_spectrum,
     char_interval_sum,
     char_moment,
-    dilated_char_sums,
     dilated_moments,
+    dilated_residue_sums,
     spectrum_direct,
 )
 from boxsums.errors import LambdaDivisibleError, PrincipalCharacterError
@@ -334,7 +334,7 @@ def _kernel_weights(kind, x, p, rng):
 
 
 class TestDilatedCharSums:
-    """The split kernel chi(x) * chi(u + lam * x^{-1}) against chi(u*x + lam) itself."""
+    """The split kernel chi(x) * chi(u + lam * x^{-1}) on residues against chi(u*x + lam) itself."""
 
     @pytest.mark.parametrize("kind", ["unit", "phase", "table"])
     @pytest.mark.parametrize("p", [5, 101, 10007])
@@ -354,23 +354,25 @@ class TestDilatedCharSums:
                 w = _kernel_weights(kind, x, p, rng)
                 tol = 1e-12 * max(1.0, float(np.abs(w).sum()))
                 for lam in (0, p, -p, 1, 3, -7, -1, 2 * p + 1):
+                    # The formula reads the integers as given, the kernel their residues.
                     want = _direct_dilated(chi, u, x, lam, w)
-                    got = dilated_char_sums(chi, u, x, lam, w)
+                    got = dilated_residue_sums(chi, u % p, x % p, lam % p, w)
                     assert got.shape == want.shape
                     assert np.abs(got - want).max() <= tol, (a, k, lam)
                     # Each index u + c_x - p in [-p, p-2] reads the entry a wrapped take reads at u + c_x.
                     assert np.array_equal(got, _wrapped_dilated(chi, u, x, lam, w)), (a, k, lam)
                     for ui, wi in zip(u.tolist(), want):
-                        assert abs(complex(dilated_char_sums(chi, ui, x, lam, w)) - wi) <= tol
+                        u0 = np.asarray(ui % p, dtype=np.int64)  # 0-d, as char_interval_sum passes it
+                        assert abs(complex(dilated_residue_sums(chi, u0, x % p, lam % p, w)) - wi) <= tol
 
     def test_only_zero_points(self, ctx11):
         # Every point is 0 mod p: each term is w(0) chi(lam), whatever u is.
         chi = MultChar(ctx11, 3)
-        x, w = np.array([0, 11, -22]), np.array([0.5, 0.25j, -1.0])
-        got = dilated_char_sums(chi, np.arange(-2, 13), x, 4, w)
+        x, w = np.array([0, 11, -22]) % 11, np.array([0.5, 0.25j, -1.0])
+        got = dilated_residue_sums(chi, np.arange(-2, 13) % 11, x, 4, w)
         assert np.abs(got - w.sum() * chi(4)).max() < 1e-15
         assert np.array_equal(got, _wrapped_dilated(chi, np.arange(-2, 13), x, 4, w))
-        assert np.abs(dilated_char_sums(chi, np.arange(5), x, 0, w)).max() == 0
+        assert np.abs(dilated_residue_sums(chi, np.arange(5), x, 0, w)).max() == 0
 
 
 class TestCharIntervalSum:
@@ -427,9 +429,9 @@ class TestCharMoment:
         # At p = 1009, h = 200 the inner sums are taken in four blocks of u.
         p, h, lam = 1009, 200, 5
         chi = MultChar(build_context(p), 7)
-        x = np.arange(900, 900 + h)
+        x = np.arange(900, 900 + h) % p
         w = np.exp(1j * np.arange(h))
-        inner = np.abs(dilated_char_sums(chi, np.arange(1, p), x, lam, w))
+        inner = np.abs(dilated_residue_sums(chi, np.arange(1, p), x, lam, w))
         for r, got in zip((1, 2), dilated_moments(chi, x, lam, w, (1, 2))):
             want = float((inner ** (2 * r)).sum())
             assert abs(got - want) <= 1e-12 * want
@@ -510,18 +512,24 @@ class TestReductionAtTheBoundary:
         ctx = build_context(p)
         a = 7 % (p - 1) or 1
         chi, ref = MultChar(ctx, a), _cmath_char(p, ctx.g, a)
-        # x holds multiples of p, negatives and values >= p.
-        x = np.array([0, p, -p, 3 * p, -1, -p - 2, 1, p + 1, 2 * p - 1, 5], dtype=np.int64)
-        w = np.exp(1j * np.arange(len(x)))
-        for lam in (p + 3, 7 * p, -p - 1, 10**12 + 1):
-            for u in (-3, -p - 1, p, 2 * p + 5, self.BIG, -self.BIG, 10**30 + 7):
-                want = sum(wi * ref(u * xi + lam) for wi, xi in zip(w.tolist(), x.tolist()))
-                assert abs(complex(dilated_char_sums(chi, u, x, lam, w)) - want) <= 1e-9, (u, lam)
-            # An int64 array u, with negatives and values >= p, in one call.
-            us = np.array([-3, -p - 1, p, 2 * p + 5, 2**62, -(2**62)], dtype=np.int64)
-            got = dilated_char_sums(chi, us, x, lam, w)
-            want = [sum(wi * ref(ui * xi + lam) for wi, xi in zip(w.tolist(), x.tolist())) for ui in us.tolist()]
-            assert np.abs(got - want).max() <= 1e-9, lam
+        refs = np.array([ref(v) for v in range(p)])
+        h = min(p - 1, 10)
+        rho = np.exp(1j * np.arange(h))
+        # Intervals through -p, 0, p and 3p, where points are negative, 0 mod p or >= p, and past 2^64.
+        for k in (-p - 3, -2, p - 2, 3 * p - 1, self.BIG):
+            xs = [k + i for i in range(1, h + 1)]
+            for lam in (p + 3, 7 * p, -p - 1, 10**12 + 1):
+                for u in (-3, -p - 1, p, 2 * p + 5, self.BIG, -self.BIG, 10**30 + 7):
+                    want = sum(r * ref(u * x + lam) for r, x in zip(rho.tolist(), xs))
+                    assert abs(char_interval_sum(chi, k, h, u, lam, rho) - want) <= 1e-9, (k, u, lam)
+                if lam % p == 0:
+                    with pytest.raises(LambdaDivisibleError):
+                        char_moment(chi, k, h, lam, rho)
+                    continue
+                # The recount's residues are reduced in Python, its character values taken from cmath.
+                idx = (np.multiply.outer(np.arange(1, p), [x % p for x in xs]) + lam % p) % p
+                want = float((np.abs(refs[idx] @ rho) ** 2).sum())
+                assert abs(char_moment(chi, k, h, lam, rho) - want) <= 1e-9 * (1 + want), (k, lam)
 
     @pytest.mark.parametrize("p", [5, 13, 101])
     def test_interval_sum_and_moment_unreduced_inputs(self, p):

@@ -245,3 +245,19 @@ class TestKeyTable:
         assert _cli_config(["prime-sweep"]).mode == "prime-sweep"
         assert cli.main(["prime-sweep", "--config", str(path)]) == 2
         assert "line 1: unknown key 'mode'" in capsys.readouterr().err
+
+
+class TestOutOfMemory:
+    """An input too large for the host's memory is a config error (exit 2), not a property failure."""
+
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 121. GiB for an array with shape (27000000, 300)"])
+    def test_evaluator_memory_error_exits_2_with_one_line(self, message, monkeypatch, capsys):
+        def refuse(spec):
+            raise MemoryError(message) if message else MemoryError
+
+        monkeypatch.setattr(cli.sums, "monomial_sum_naive", refuse)
+        argv = ["sum", "--p", "10007", "--h", "300", "--e", "1,1,1,1", "--k", "0,0,0,0", "--method", "naive"]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"config error: out of memory. {message}".rstrip() + "\n"

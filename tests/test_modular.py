@@ -14,7 +14,6 @@ from boxsums.errors import (
     ZeroToNegativePowerError,
 )
 from boxsums.modular import (
-    FLOOR_MOD_CROSSOVER,
     Box,
     ExponentVector,
     box_powers,
@@ -80,6 +79,22 @@ class TestPowMod:
             return
         assert pow_mod(a, e, p) * pow_mod(a, -e, p) % p == 1
 
+    @pytest.mark.parametrize("p", [3, 5, 101, 2**31 - 1])
+    def test_negative_exponent_matches_two_step_inverse(self, p):
+        # The built-in pow with a negative exponent against the inverse raised to |e|.
+        for e in (-1, -2, -(p - 1), -(2**31 - 1)):
+            for a in (1, 2, p - 1, p + 2, -1, -p - 3, 10**20 + 1):
+                if a % p:
+                    assert pow_mod(a, e, p) == pow(pow(a % p, -1, p), -e, p), (a, e, p)
+            for zero in (0, p, -p):
+                with pytest.raises(ZeroToNegativePowerError):
+                    pow_mod(zero, e, p)
+
+    def test_composite_modulus_without_inverse_raises(self):
+        with pytest.raises(ValueError):
+            pow_mod(6, -1, 15)
+        assert pow_mod(7, -1, 15) == 13  # 7 * 13 = 91 = 1 mod 15
+
 
 class TestInvMod:
     def test_identity(self):
@@ -112,9 +127,9 @@ class TestFloorMod:
 
     @pytest.mark.parametrize("m", [3, 1008, 10007, 2**31 - 2])
     def test_both_sides_of_the_crossover(self, m):
-        # Below FLOOR_MOD_CROSSOVER entries floor_mod takes one `%`, from it three numpy calls.
+        # Sizes around 640, where one `%` and the floor division cost about the same.
         rng = np.random.default_rng(m)
-        for size in (0, 1, FLOOR_MOD_CROSSOVER - 1, FLOOR_MOD_CROSSOVER, 10**4):
+        for size in (0, 1, 639, 640, 10**4):
             x = rng.integers(-(2**62), 2**62, size)
             x[: size // 3] = rng.integers(-3 * m, 3 * m, size // 3)  # small entries, negatives among them
             x[: size // 7] = rng.integers(-3, 4, size // 7) * m  # multiples of m

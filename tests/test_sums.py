@@ -542,7 +542,7 @@ class TestLambdaReduction:
             for evaluate in (character_sum_naive, character_sum_split):
                 assert evaluate(shifted, chi) == evaluate(base, chi)
             assert cauchy_majorant(shifted) == cauchy_majorant(base)
-            assert holder_majorant(shifted, chi, 2) == holder_majorant(base, chi, 2)
+            assert holder_majorant(shifted, chi, (2,)) == holder_majorant(base, chi, (2,))
         assert monomial_sum_bilinear(base).terms == 20 * 19 * 20
 
     @pytest.mark.parametrize("shift", SHIFTS, ids=SHIFT_IDS)
@@ -602,15 +602,15 @@ class TestCauchyMajorant:
 class TestHolderMajorant:
     def test_principal_rejected(self, ctx7):
         with pytest.raises(PrincipalCharacterError):
-            holder_majorant(_spec(ctx7, (0, 0), 2, (1, 1)), MultChar(ctx7, 0), 1)
+            holder_majorant(_spec(ctx7, (0, 0), 2, (1, 1)), MultChar(ctx7, 0), (1,))
 
     def test_lambda_divisible_rejected(self, ctx7):
         with pytest.raises(LambdaDivisibleError):
-            holder_majorant(_spec(ctx7, (0, 0), 2, (1, 1), lam=0), MultChar(ctx7, 1), 1)
+            holder_majorant(_spec(ctx7, (0, 0), 2, (1, 1), lam=0), MultChar(ctx7, 1), (1,))
 
     def test_bad_r(self, ctx7):
         with pytest.raises(ValueError):
-            holder_majorant(_spec(ctx7, (0, 0), 2, (1, 1)), MultChar(ctx7, 1), 0)
+            holder_majorant(_spec(ctx7, (0, 0), 2, (1, 1)), MultChar(ctx7, 1), (0,))
 
     def test_dominates_randomly(self):
         for p in (7, 11, 13):
@@ -623,7 +623,7 @@ class TestHolderMajorant:
                 naive = character_sum_naive(spec, chi)
                 tol = agreement_tolerance(naive.terms)
                 for r in (1, 2, 3):
-                    assert abs(naive.value) <= holder_majorant(spec, chi, r) + tol
+                    assert abs(naive.value) <= holder_majorant(spec, chi, (r,))[0] + tol
 
     @pytest.mark.parametrize("kind", ["unit", "phase", "table"])
     def test_orders_at_once_match_single_orders(self, kind):
@@ -636,7 +636,7 @@ class TestHolderMajorant:
                 together = holder_majorant(spec, chi, (1, 2, 3))
                 assert len(together) == 3
                 for r, got in zip((1, 2, 3), together):
-                    assert got == pytest.approx(holder_majorant(spec, chi, r), rel=1e-12, abs=0)
+                    assert got == pytest.approx(holder_majorant(spec, chi, (r,))[0], rel=1e-12, abs=0)
 
     def test_bad_order_among_several(self, ctx7):
         with pytest.raises(ValueError):
@@ -683,7 +683,7 @@ class TestCoordinateCache:
             "char-naive": lambda: character_sum_naive(spec, chi).value,
             "split": lambda: character_sum_split(spec, chi).value,
             "cauchy": lambda: cauchy_majorant(spec),
-            "holder": lambda: holder_majorant(spec, chi, 2),
+            "holder": lambda: holder_majorant(spec, chi, (2,))[0],
         }
         return {name: evaluators[name]() for name in order}
 
