@@ -75,9 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     # sum and count are not run modes: they take no config file and no key flags.
     p_sum = sub.add_parser("sum", help="evaluate one sum instance")
     p_sum.add_argument("--p", type=int, required=True)
-    p_sum.add_argument("--h", type=int, required=True)
+    p_sum.add_argument("--h", required=True, help="side length(s), comma-separated")
     p_sum.add_argument("--e", required=True, help="comma-separated exponents")
-    p_sum.add_argument("--k", required=True, help="comma-separated corners")
+    p_sum.add_argument("--k", required=True, help="corner(s), comma-separated")
     p_sum.add_argument("--lambda", dest="lam", type=int, default=1)
     p_sum.add_argument("--char-index", type=int, help="evaluate a character sum with this index")
     p_sum.add_argument("--weights", default="unit", help="unit | phase:l1,l2,... | file:PATH")
@@ -115,6 +115,12 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         for i, words in enumerate(getattr(args, key, None) or ()):
             apply_key(cfg, key, " ".join(words), extend=i > 0)
     return cfg
+
+
+def _parse_box(h: str, k: str, n: int) -> Box:
+    """The box of --h and --k in dimension n: one --k is every corner, and one --h the side of a cube."""
+    hs, ks = _int_list(h), _int_list(k)
+    return Box(ks * n if len(ks) == 1 else ks, hs[0] if len(hs) == 1 else hs)
 
 
 def _parse_weights(raw: str):
@@ -184,28 +190,20 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_sum(args: argparse.Namespace) -> int:
     e = _int_list(args.e)
-    k = _int_list(args.k)
     ctx = build_context(args.p)
     spec = SumSpec(
         ctx=ctx,
-        box=Box(tuple(k), args.h),
+        box=_parse_box(args.h, args.k, len(e)),
         e=ExponentVector(tuple(e)),
         weights=_parse_weights(args.weights),
         lam=args.lam,
     )
+    split = args.method == "split"
     if args.char_index is not None:
         chi = MultChar(ctx, args.char_index)
-        result = (
-            sums.character_sum_split(spec, chi)
-            if args.method == "split"
-            else sums.character_sum_naive(spec, chi)
-        )
+        result = sums.character_sum_split(spec, chi) if split else sums.character_sum_naive(spec, chi)
     else:
-        result = (
-            sums.monomial_sum_bilinear(spec)
-            if args.method == "split"
-            else sums.monomial_sum_naive(spec)
-        )
+        result = sums.monomial_sum_bilinear(spec) if split else sums.monomial_sum_naive(spec)
     payload = {
         "p": args.p,
         "value_re": result.value.real,
@@ -220,18 +218,16 @@ def _cmd_sum(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     ctx = build_context(args.p)
-    hs = _int_list(args.h)
-    ks = _int_list(args.k)
     if args.e is not None:
         if args.nu is not None:
             raise ConfigInvalidError("--nu is the tuple length of a plain count; --e sets the dimension")
         es = _int_list(args.e)
-        # One --k is every corner, and one --h the side of a cube.
-        box = Box(ks * len(es) if len(ks) == 1 else ks, hs[0] if len(hs) == 1 else hs)
+        box = _parse_box(args.h, args.k, len(es))
         result = counts.count_monomial_pairs_brute(ctx, ExponentVector(tuple(es)), box)
         hs, ks = list(box.sides), list(box.k)
         payload = {"p": args.p, "e": es, "h": hs, "k": ks, "value": result.value, "method": result.method}
     else:
+        hs, ks = _int_list(args.h), _int_list(args.k)
         if len(hs) != 1 or len(ks) != 1:
             raise ConfigInvalidError("a product count takes one --h and one --k; add --e for a box")
         nu = 1 if args.nu is None else args.nu

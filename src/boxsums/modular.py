@@ -302,5 +302,5 @@ def monomial_eval(ctx: PrimeContext, x: Sequence[int], e: ExponentVector) -> int
     for xj, ej in zip(x, e.e):
         if (r := xj % p) == 0:
             raise ZeroCoordinateError(f"coordinate {xj} is 0 mod {p}")
-        acc = acc * pow(r, ej, p) % p
-    return acc
+        acc *= pow(r, ej, p)
+    return acc % p

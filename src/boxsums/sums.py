@@ -13,8 +13,8 @@ array over the index domain, where each fold and the contraction are
 rotations, since ind(u*x^e) = ind u + ind x^e.
 A frozen `SumSpec` builds its coordinates once, read-only, for every evaluator
 and majorant, in one call of the interval kernel `modular.box_powers` on its
-`modular.Box` (which the counts share) with one weight table per spec. The box
-must be a cube, since each weight system builds one n x h table.
+`modular.Box` (which the counts share) with one weight table per spec, of n rows
+as long as the longest side; every side is below p, and each row is cut to its own.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class UnitWeights:
     def coordinate_table(self, ctx: PrimeContext, residues: np.ndarray) -> np.ndarray:
         return np.ones(residues.shape, dtype=np.complex128)
 
-    def dimension(self) -> int | None:
-        return None
+    def check_box(self, box: Box) -> None:
+        """Any box: the weight is 1 at every point."""
 
 
 class PhaseWeights:
@@ -64,32 +64,37 @@ class PhaseWeights:
         lam = np.array([v % ctx.p for v in self.lambdas], dtype=np.int64)
         return ctx.roots[lam[:, None] * residues % ctx.p]
 
-    def dimension(self) -> int | None:
-        return len(self.lambdas)
+    def check_box(self, box: Box) -> None:
+        if len(self.lambdas) != box.n:
+            raise ValueError("weight system dimension disagrees with box")
 
 
 class TableWeights:
-    """Explicit per-coordinate weight tables over each interval."""
+    """Explicit per-coordinate weight tables, one read-only row each, zero-padded to the longest."""
 
     def __init__(self, tables: Sequence[Sequence[complex]]):
-        self.tables = tuple(np.asarray(t, dtype=np.complex128) for t in tables)
-        for t in self.tables:
-            if t.ndim != 1:
-                raise ValueError("each weight table must be one-dimensional")
-            check_weight_bound(t)
+        rows = [np.asarray(t, dtype=np.complex128) for t in tables]
+        if any(t.ndim != 1 for t in rows):
+            raise ValueError("each weight table must be one-dimensional")
+        self.lengths = tuple(map(len, rows))
+        self.tables = np.zeros((len(rows), max(self.lengths, default=0)), dtype=np.complex128)
+        for row, t in zip(self.tables, rows):
+            row[: len(t)] = t
+        check_weight_bound(self.tables)
+        self.tables.flags.writeable = False
 
     def coordinate_table(self, ctx: PrimeContext, residues: np.ndarray) -> np.ndarray:
-        h = residues.shape[1]
-        for j, t in enumerate(self.tables):
-            if t.shape != (h,):
-                raise ValueError(f"weight table {j} must have length {h}")
-        return np.array(self.tables)
+        return self.tables
 
-    def dimension(self) -> int | None:
-        return len(self.tables)
+    def check_box(self, box: Box) -> None:
+        if len(self.lengths) != box.n:
+            raise ValueError("weight system dimension disagrees with box")
+        for j, (length, h_j) in enumerate(zip(self.lengths, box.sides)):
+            if length != h_j:
+                raise ValueError(f"weight table {j} must have length {h_j}")
 
 
-# Each kind gives its n x h weights at a box's residues in one `coordinate_table(ctx, residues)` call.
+# Each kind checks itself against a box once, and gives its weights at the box's residues in one call.
 WeightSystem = UnitWeights | PhaseWeights | TableWeights
 
 
@@ -109,12 +114,8 @@ class SumSpec:
         object.__setattr__(self, "lam", int(self.lam) % self.ctx.p)
         if self.box.n != len(self.e):
             raise ValueError("box and exponent dimensions disagree")
-        wdim = self.weights.dimension()
-        if wdim is not None and wdim != self.box.n:
-            raise ValueError("weight system dimension disagrees with box")
-        if len(set(self.box.sides)) > 1:
-            raise ValueError("a sum's box must be a cube: each weight system builds an n x h table")
-        if self.box.sides[0] >= self.ctx.p:
+        self.weights.check_box(self.box)
+        if max(self.box.sides) >= self.ctx.p:
             raise ValueError("side length must satisfy h < p")
 
     @property
@@ -124,9 +125,9 @@ class SumSpec:
     @cached_property
     def coordinates(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per coordinate j, x^{e_j} mod p and the weights at the points of
-        [k_j+1, k_j+h] that are nonzero mod p; both arrays are read-only.
-        Both come from one call of the kernel `modular.box_powers`, which takes
-        the weights from one n x h table of the weight system at its residues."""
+        [k_j+1, k_j+h_j] that are nonzero mod p; both arrays are read-only.
+        Both come from one call of the kernel `modular.box_powers`, which takes the
+        weights from one n x max(h_j) table of the weight system at its residues."""
         weights = partial(self.weights.coordinate_table, self.ctx)
         return tuple(zip(*box_powers(self.ctx, self.box, self.e.e, weights)))
 

@@ -789,6 +789,23 @@ class TestCli:
         assert abs(naive["value_re"] - split["value_re"]) < 1e-9
         assert abs(naive["value_im"] - split["value_im"]) < 1e-9
 
+    def test_sum_box_parsed_as_count_does(self, capsys, tmp_path):
+        # One side per coordinate, one corner for all, and a weight file with one row per side.
+        wfile = tmp_path / "w.json"
+        wfile.write_text(json.dumps([[[0.5, 0.5]] * h for h in (3, 5)]), encoding="utf-8")
+        args = ["sum", "--p", "11", "--h", "3,5", "--e=-1,2", "--k", "8", "--weights", f"file:{wfile}"]
+        payloads = []
+        for method in ("naive", "split"):
+            assert cli.main(args + ["--method", method]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        weights = sums.TableWeights([[0.5 + 0.5j] * 3, [0.5 + 0.5j] * 5])
+        spec = sums.SumSpec(build_context(11), Box((8, 8), (3, 5)), ExponentVector((-1, 2)), weights)
+        want = sums.monomial_sum_naive(spec)
+        for got in payloads:
+            # Each interval holds the point 11, so 2 * 4 tuples.
+            assert got["terms"] == want.terms == 2 * 4
+            assert abs(complex(got["value_re"], got["value_im"]) - want.value) < 1e-9
+
     def test_character_sum_flag(self, capsys):
         rc = cli.main(
             ["sum", "--p", "7", "--h", "2", "--e=1,-1", "--k", "0,0", "--char-index", "3"]

@@ -2,11 +2,12 @@ import cmath
 import dataclasses
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from boxsums.characters import MultChar, char_interval_sum, char_moment
+from boxsums.characters import MultChar, char_interval_sum, char_moment, support_sum_limit
 from boxsums.counts import (
     count_monomial_pairs_brute,
     count_product_pairs_brute,
@@ -29,6 +30,7 @@ from boxsums.sums import (
     cauchy_majorant,
     character_sum_naive,
     character_sum_split,
+    dense_fold_limit,
     holder_majorant,
     kloosterman_sum,
     monomial_sum_bilinear,
@@ -70,12 +72,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             _spec(ctx5, (0, 0), 2, (1, 1), weights=PhaseWeights((1,)))
 
-    @pytest.mark.parametrize("weights", [None, PhaseWeights((1, 2))])
-    def test_unequal_sides_refused(self, ctx7, weights):
-        # The weight systems build one n x h table, so a sum's box must be a cube.
-        with pytest.raises(ValueError, match="cube"):
-            _spec(ctx7, (0, 0), (2, 3), (1, 1), weights=weights)
-        assert _spec(ctx7, (0, 0), (3, 3), (1, 1)).box.sides == (3, 3)
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_side_not_below_p_on_any_coordinate(self, ctx7, j):
+        sides = [2, 3, 6]
+        sides[j] = 7
+        with pytest.raises(ValueError, match="h < p"):
+            _spec(ctx7, (0, 0, 0), tuple(sides), (1, 1, 1))
+        assert _spec(ctx7, (0, 0, 0), (2, 3, 6), (1, 1, 1)).box.sides == (2, 3, 6)
 
     def test_table_weight_modulus_cap(self):
         with pytest.raises(ValueError):
@@ -656,6 +659,167 @@ class TestConjugation:
             assert abs(b.value - a.value.conjugate()) < agreement_tolerance(a.terms)
 
 
+class TestUnequalSides:
+    """Boxes whose sides differ, each with one interval that holds the point p: the
+    evaluators against a scalar recount and each other, and the majorants against |naive|."""
+
+    P = 101
+    # At p = 101 (dense_fold_limit 50) the split folds 7 * 8 = 56 entries and turns dense on
+    # the first box, and stays on the 8 * 3 = 24 entries of the second.
+    BOXES = {"dense": Box((3, 95, 40), (7, 9, 4)), "sparse": Box((95, 10, 60), (9, 3, 12))}
+    E = (2, -1, 3)
+
+    @staticmethod
+    def _weights(kind, box):
+        if kind == "unit":
+            return UnitWeights()
+        if kind == "phase":
+            return PhaseWeights((4, 7, 12))
+        rng = np.random.default_rng(sum(box.sides))
+        return TableWeights([rng.random(h) * np.exp(2j * np.pi * rng.random(h)) for h in box.sides])
+
+    def _spec(self, kind, box, lam=5):
+        return SumSpec(build_context(self.P), box, ExponentVector(self.E), self._weights(kind, box), lam)
+
+    @staticmethod
+    def _recount(spec, value):
+        """sum over the box's tuples with no coordinate 0 mod p of the weight product times value(monomial)."""
+        p = spec.ctx.p
+        rows = [
+            [(i, x) for i, x in enumerate(range(k_j + 1, k_j + h_j + 1)) if x % p]
+            for k_j, h_j in zip(spec.box.k, spec.box.sides)
+        ]
+        weight = partial(TestCoordinatePass._reference_weight, spec.weights)
+        total = 0j
+        for tup in itertools.product(*rows):
+            w = math.prod(weight(j, i, x, p) for j, (i, x) in enumerate(tup))
+            total += w * value(math.prod(pow(x, e_j, p) for (_, x), e_j in zip(tup, spec.e.e)) % p)
+        return total, math.prod(map(len, rows))
+
+    @pytest.mark.parametrize("box", list(BOXES))
+    @pytest.mark.parametrize("kind", ["unit", "phase", "table"])
+    def test_naive_matches_recount(self, kind, box):
+        spec = self._spec(kind, self.BOXES[box])
+        chi = MultChar(spec.ctx, 17)
+        want_s, terms = self._recount(spec, lambda m: cmath.exp(2j * cmath.pi * (spec.lam * m % self.P) / self.P))
+        want_t, _ = self._recount(spec, lambda m: chi(m + spec.lam))
+        naive_s, naive_t = monomial_sum_naive(spec), character_sum_naive(spec, chi)
+        assert naive_s.terms == naive_t.terms == terms < math.prod(spec.box.sides)
+        assert abs(naive_s.value - want_s) < agreement_tolerance(terms)
+        assert abs(naive_t.value - want_t) < agreement_tolerance(terms)
+
+    @pytest.mark.parametrize("box", list(BOXES))
+    @pytest.mark.parametrize("kind", ["unit", "phase", "table"])
+    def test_fast_paths_agree_with_naive(self, kind, box, monkeypatch):
+        from boxsums import sums
+
+        rotations, calls = sums._rotations, []
+        monkeypatch.setattr(sums, "_rotations", lambda a, shifts: calls.append(len(shifts)) or rotations(a, shifts))
+        for lam in (1, 5, self.P - 1):
+            spec = self._spec(kind, self.BOXES[box], lam)
+            naive, fast = monomial_sum_naive(spec), monomial_sum_bilinear(spec)
+            assert naive.terms == fast.terms
+            assert abs(naive.value - fast.value) < agreement_tolerance(naive.terms)
+            for a in (1, 17, (self.P - 1) // 2):
+                chi = MultChar(spec.ctx, a)
+                calls.clear()
+                naive, fast = character_sum_naive(spec, chi), character_sum_split(spec, chi)
+                assert bool(calls) == (box == "dense")
+                assert naive.terms == fast.terms
+                assert abs(naive.value - fast.value) < agreement_tolerance(naive.terms)
+
+    @pytest.mark.parametrize("box", list(BOXES))
+    @pytest.mark.parametrize("kind", ["unit", "phase", "table"])
+    def test_majorants_dominate_naive(self, kind, box):
+        for lam in (1, 5, self.P - 1):
+            spec = self._spec(kind, self.BOXES[box], lam)
+            naive = monomial_sum_naive(spec)
+            assert abs(naive.value) <= cauchy_majorant(spec) + agreement_tolerance(naive.terms)
+            for a in (1, 17, (self.P - 1) // 2):
+                chi = MultChar(spec.ctx, a)
+                naive = character_sum_naive(spec, chi)
+                tol = agreement_tolerance(naive.terms)
+                assert all(abs(naive.value) <= m + tol for m in holder_majorant(spec, chi, (1, 2, 3)))
+
+    @pytest.mark.parametrize("box", list(BOXES))
+    def test_kloosterman_matches_naive(self, box):
+        spec = self._spec("phase", self.BOXES[box], lam=3)
+        got = kloosterman_sum(spec.ctx, spec.box, 3, spec.weights.lambdas)
+        inverse = SumSpec(spec.ctx, spec.box, ExponentVector((-1, -1, -1)), spec.weights, 3)
+        naive = monomial_sum_naive(inverse)
+        want, terms = self._recount(inverse, lambda m: cmath.exp(2j * cmath.pi * (3 * m % self.P) / self.P))
+        assert got.terms == naive.terms == terms
+        assert abs(got.value - naive.value) < agreement_tolerance(terms)
+        assert abs(got.value - want) < agreement_tolerance(terms)
+
+
+class TestCompleteCoordinate:
+    """A complete coordinate, over all of [1, p-1] with gcd(e_j, p-1) = 1 and weight 1, sums to
+    -1 (monomial) or -chi(lam) (character) at every value of the others, so S = -M and
+    T = -chi(lam) * M, with M the weight mass of the short coordinates: exact at any p."""
+
+    # Per position of the complete coordinate: the box's corners, sides and exponents at p, and
+    # whether the bilinear sum takes the FFT branch and the split sum turns dense. So each prime
+    # runs both branches of additive_spectrum and both split paths.
+    CASES = {
+        "first": (lambda p: ((0, p - 3, 40), (p - 1, 6, 7), (5, 2, -3)), True, True),
+        "middle": (lambda p: ((17, 0, 2 * p + 5), (3, p - 1, 4), (-1, -1, 3)), False, True),
+        "last": (lambda p: ((p - 2, 9, 0), (5, 4, p - 1), (3, 2, 5)), False, False),
+    }
+
+    @staticmethod
+    def _weights(kind, box, pos):
+        if kind == "unit":
+            return UnitWeights()
+        p = box.sides[pos] + 1
+        if kind == "phase":
+            lambdas = [3, -7, 2**40]
+            lambdas[pos] = 3 * p  # e_p(3p * x) = 1 at every x
+            return PhaseWeights(lambdas)
+        rng = np.random.default_rng(p + pos)
+        rows = [rng.random(h) * np.exp(2j * np.pi * rng.random(h)) for h in box.sides]
+        rows[pos] = np.ones(p - 1)
+        return TableWeights(rows)
+
+    @staticmethod
+    def _short_mass(spec, pos):
+        """The product over the short coordinates of their weights summed at the points nonzero mod p."""
+        p, mass = spec.ctx.p, 1.0
+        for j, (k_j, h_j) in enumerate(zip(spec.box.k, spec.box.sides)):
+            if j != pos:
+                points = [(i, k_j + 1 + i) for i in range(h_j) if (k_j + 1 + i) % p]
+                mass *= sum(TestCoordinatePass._reference_weight(spec.weights, j, i, x, p) for i, x in points)
+        return mass
+
+    @pytest.mark.parametrize("kind", ["unit", "phase", "table"])
+    @pytest.mark.parametrize("position", list(CASES))
+    @pytest.mark.parametrize("p", [1009, 10007, 100003])
+    def test_bilinear_and_split_match_closed_forms(self, p, position, kind):
+        box_of, fft, dense = self.CASES[position]
+        k, h, e = box_of(p)
+        pos = h.index(p - 1)
+        assert math.gcd(e[pos], p - 1) == 1
+        box, ctx = Box(k, h), build_context(p)
+        for lam in (5, p - 1):
+            spec = SumSpec(ctx, box, ExponentVector(e), self._weights(kind, box, pos), lam)
+            # The two dispatches, from the sizes of the half-box distributions and of the fold.
+            d1, d2 = monomial_value_distribution(spec, 0, 1), monomial_value_distribution(spec, 1, 3)
+            assert (len(d1.points) > support_sum_limit(p, len(d2.points))) == fft
+            assert (len(spec.coordinates[0][0]) * len(spec.coordinates[1][0]) > dense_fold_limit(p)) == dense
+            mass = self._short_mass(spec, pos)
+            terms = math.prod(len(pv) for pv, _ in spec.coordinates)
+            assert terms == (p - 1) * math.prod(len(pv) for j, (pv, _) in enumerate(spec.coordinates) if j != pos)
+            tol = agreement_tolerance(terms)
+            evaluators = [monomial_sum_bilinear] + ([monomial_sum_naive] if p == 1009 else [])
+            for evaluate in evaluators:
+                s = evaluate(spec)
+                assert s.terms == terms and abs(s.value + mass) < tol, evaluate.__name__
+            for a in (17, (p - 1) // 2):
+                chi = MultChar(ctx, a)
+                for evaluate in [character_sum_split] + ([character_sum_naive] if p == 1009 else []):
+                    t = evaluate(spec, chi)
+                    assert t.terms == terms and abs(t.value + chi(lam) * mass) < tol, (evaluate.__name__, a)
+
 
 class TestCoordinateCache:
     """Each spec flattens its coordinates once, and every evaluator reads them."""
@@ -779,6 +943,6 @@ class TestCoordinatePass:
                 arr[0] = 1
 
     def test_table_of_wrong_length_rejected(self, ctx7):
-        spec = _spec(ctx7, (0, 0), 3, (1, 1), TableWeights([[0.5] * 3, [0.5] * 2]))
+        # The spec checks its weights against the box when it is built, not when its coordinates are.
         with pytest.raises(ValueError, match="weight table 1 must have length 3"):
-            spec.coordinates
+            _spec(ctx7, (0, 0), 3, (1, 1), TableWeights([[0.5] * 3, [0.5] * 2]))
