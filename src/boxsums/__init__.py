@@ -48,9 +48,7 @@ from .modular import (
     ExponentVector,
     PrimeContext,
     build_context,
-    inv_mod,
     is_prime,
-    monomial_eval,
     pow_mod,
     primitive_root,
 )

@@ -7,9 +7,10 @@ domain, e_p(w*v) = E[ind w + ind v] with E[i] = e_p(g^i), where
 reference the tests and the verify suite compare against). Also the one kernel
 for dilated character sums sum_x w(x) chi(u*x + lam), `dilated_residue_sums`,
 which takes residues: the split sum's fold and `holder_majorant` hold them, and
-`char_interval_sum` and `char_moment` reduce their integers at the boundary. No
-gather takes numpy's `mode="wrap"`, which cost 31 against 9 us per 10^4 indices
-(numpy 2.4.6).
+`char_interval_sum` and `char_moment` reduce their integers at the boundary.
+Both the summed spectrum and that kernel run one blocked gather-and-contract,
+`_pair_sums`. No gather takes numpy's `mode="wrap"`, which cost 31 against 9 us
+per 10^4 indices (numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -114,15 +115,22 @@ def support_sum_limit(p: int, supp: int) -> int:
     return 2 * p * (p - 1).bit_length() // max(supp, 1)
 
 
-def _block_rows(p: int, cols: int) -> int:
-    """Rows per block of a pair array with `cols` columns: blocks of <= max(p, 2^16)
+def _pair_sums(table: np.ndarray, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, p: int) -> np.ndarray:
+    """sum_j table[r + c_j] * w_j for each r in `rows` (an int64 array, maybe 0-d): one index
+    addition and one gather per pair, contracted against the weights. Blocks of <= max(p, 2^16)
     pairs keep memory O(p), like the FFT's, whatever the numbers of rows and columns are."""
-    return max(1, max(p, 2**16) // max(1, cols))
+    step = max(1, max(p, 2**16) // max(1, len(cols)))
+    if rows.size <= step:
+        return table[np.add.outer(rows, cols)] @ weights
+    out = np.empty(len(rows), dtype=np.complex128)
+    for i in range(0, len(rows), step):
+        out[i : i + step] = table[np.add.outer(rows[i : i + step], cols)] @ weights
+    return out
 
 
 def _support_sum(dist: ResidueDistribution, at: np.ndarray) -> np.ndarray:
-    """hat[at] for frequencies reduced mod p, summed over the entries: one index
-    addition and one gather per (frequency, point) pair, both nonzero."""
+    """hat[at] for frequencies reduced mod p, summed over the entries: e_p(w*v) =
+    E[ind w + ind v] for each (frequency, point) pair, both nonzero."""
     ctx, points, mass = dist.ctx, dist.points, dist.mass
     if not points.all():  # e_p(w*0) = 1: the mass at point 0 adds to every frequency
         zero = points == 0
@@ -131,12 +139,7 @@ def _support_sum(dist: ResidueDistribution, at: np.ndarray) -> np.ndarray:
         out, w = np.full(len(at), mass.sum(), dtype=np.complex128), np.flatnonzero(at)
         out[w] = _support_sum(dist, at[w])
         return out
-    table, iw, iv = ctx.index_roots, ctx.index[at], ctx.index[points]
-    rows = _block_rows(ctx.p, len(points))
-    out = np.empty(len(at), dtype=np.complex128)
-    for i in range(0, len(at), rows):
-        out[i : i + rows] = table[np.add.outer(iw[i : i + rows], iv)] @ mass
-    return out
+    return _pair_sums(ctx.index_roots, ctx.index[at], ctx.index[points], mass, ctx.p)
 
 
 def additive_spectrum(dist: ResidueDistribution, at=None) -> np.ndarray:
@@ -177,17 +180,13 @@ def dilated_residue_sums(chi: MultChar, u: np.ndarray, x: np.ndarray, lam: int, 
     c_x = lam * x^{-1} = g^{ind lam - ind x} mod p (0 if lam = 0), since
     chi(u*x + lam) = chi(x) chi(u + lam * x^{-1}). The index u + (c_x - p) lies in
     [-p, p-2], and a plain gather reads a negative index from the end of the table,
-    so each pair is one addition and one bounds-checked read.
+    so each pair is one addition and one bounds-checked read in `_pair_sums`.
     Points x = 0 contribute w(x) chi(lam); in the gather chi(0) = 0 zeroes
     their weight, whatever c the sentinel index[0] = -1 gives them."""
     ctx, table = chi.ctx, chi.table()
     p = ctx.p
     c = ctx.power[(ctx.index[lam] - ctx.index[x]) % (p - 1)] if lam else np.zeros_like(x)
-    wx, c = w * table[x], c - p
-    rows = _block_rows(p, len(x))
-    blocks = [u] if u.size <= rows else [u[i : i + rows] for i in range(0, len(u), rows)]
-    out = [table[np.add.outer(b, c)] @ wx for b in blocks]
-    out = out[0] if len(out) == 1 else np.concatenate(out)
+    out = _pair_sums(table, u, c - p, w * table[x], p)
     return out if x.all() else out + w[x == 0].sum() * table[lam]
 
 

@@ -13,16 +13,8 @@ class TooLargeError(BoxsumsError):
     """The modulus exceeds the supported range."""
 
 
-class NotInvertibleError(BoxsumsError):
-    """Attempted modular inversion of a residue that is 0 mod p."""
-
-
 class ZeroToNegativePowerError(BoxsumsError):
     """Attempted to raise 0 to a negative power mod p."""
-
-
-class ZeroCoordinateError(BoxsumsError):
-    """A coordinate of a monomial argument is 0 mod p."""
 
 
 class DimensionTooSmallError(BoxsumsError):

@@ -131,19 +131,18 @@ class CalibrationStore:
             "version": ARTIFACT_VERSION,
         }
 
-    def save(self, path: str | None = None) -> None:
-        path = path or self.path
-        if path is None:
+    def save(self) -> None:
+        if self.path is None:
             raise ValueError("no path for calibration store")
-        _write_json(self.entries, path)
+        _write_json(self.entries, self.path)
 
 
-def threshold_h_values(selector: str, n: int, p: int, width: float = 0.05) -> list[int]:
-    """Integer side lengths spanning the nontriviality threshold of the
-    bound: exponents alpha-width .. alpha+width, clipped to [2, p-1]."""
+def threshold_h_values(selector: str, n: int, p: int) -> list[int]:
+    """Integer side lengths spanning the nontriviality threshold alpha of the
+    bound: h = p^(alpha-0.05) .. p^(alpha+0.05), clipped to [2, p-1]."""
     alpha = bounds.nontrivial_threshold(selector, n)
-    lo = max(2, math.ceil(p ** (alpha - width)))
-    hi = max(lo, math.floor(p ** (alpha + width)))
+    lo = max(2, math.ceil(p ** (alpha - 0.05)))
+    hi = max(lo, math.floor(p ** (alpha + 0.05)))
     hs = sorted({h for h in range(lo, hi + 1) if h < p})
     if len(hs) > 6:  # keep cells tractable; endpoints always included
         step = (len(hs) - 1) / 5

@@ -2,8 +2,8 @@
 
 Provides deterministic primality testing, smallest primitive roots,
 a full discrete-log (index) table per prime with its inverse power table
-and the unit-root tables the characters read (all on `PrimeContext`), monomial
-evaluation with positive or negative exponents, `floor_mod` (int64 arrays
+and the unit-root tables the characters read (all on `PrimeContext`), `pow_mod`
+(the one scalar power, negative exponents included), `floor_mod` (int64 arrays
 reduced by floor division), the `Box` of sums and counts,
 and the interval kernels, which reduce corners mod p: `interval_residues`
 (points), `box_powers` (x^e as g^{e ind x} at a box's nonzero points, one call
@@ -20,13 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    NotInvertibleError,
-    NotPrimeError,
-    TooLargeError,
-    ZeroCoordinateError,
-    ZeroToNegativePowerError,
-)
+from .errors import NotPrimeError, TooLargeError, ZeroToNegativePowerError
 
 MAX_MODULUS = 2**31  # keeps a*b < 2^62 in 64-bit intermediates
 
@@ -77,14 +71,6 @@ def pow_mod(a: int, e: int, p: int) -> int:
     if e < 0 and a == 0:
         raise ZeroToNegativePowerError(f"0^{e} mod {p} is undefined")
     return pow(a, e, p)
-
-
-def inv_mod(a: int, p: int) -> int:
-    """Multiplicative inverse of a mod p."""
-    a %= p
-    if a == 0:
-        raise NotInvertibleError(f"0 has no inverse mod {p}")
-    return pow(a, -1, p)
 
 
 def floor_mod(x: np.ndarray, m: int) -> np.ndarray:
@@ -292,15 +278,3 @@ def monomial_values(powers: Sequence[np.ndarray], p: int) -> np.ndarray:
         vals = (vals[:, None] * pv[None, :] % p).ravel()
     return vals
 
-
-def monomial_eval(ctx: PrimeContext, x: Sequence[int], e: ExponentVector) -> int:
-    """x_1^{e_1} ... x_n^{e_n} mod p, every coordinate nonzero mod p."""
-    if len(x) != len(e.e):
-        raise ValueError("coordinate/exponent dimension mismatch")
-    p = ctx.p
-    acc = 1
-    for xj, ej in zip(x, e.e):
-        if (r := xj % p) == 0:
-            raise ZeroCoordinateError(f"coordinate {xj} is 0 mod {p}")
-        acc *= pow(r, ej, p)
-    return acc % p

@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxsums.errors import (
-    NotInvertibleError,
-    NotPrimeError,
-    TooLargeError,
-    ZeroCoordinateError,
-    ZeroToNegativePowerError,
-)
+from boxsums.errors import NotPrimeError, TooLargeError, ZeroToNegativePowerError
 from boxsums.modular import (
     Box,
     ExponentVector,
@@ -20,9 +14,7 @@ from boxsums.modular import (
     build_context,
     floor_mod,
     interval_residues,
-    inv_mod,
     is_prime,
-    monomial_eval,
     monomial_values,
     pow_mod,
     primitive_root,
@@ -94,24 +86,6 @@ class TestPowMod:
         with pytest.raises(ValueError):
             pow_mod(6, -1, 15)
         assert pow_mod(7, -1, 15) == 13  # 7 * 13 = 91 = 1 mod 15
-
-
-class TestInvMod:
-    def test_identity(self):
-        assert inv_mod(1, 7) == 1
-
-    def test_example(self):
-        assert inv_mod(3, 7) == 5
-
-    def test_zero_raises(self):
-        with pytest.raises(NotInvertibleError):
-            inv_mod(0, 7)
-
-    @given(st.sampled_from(SMALL_PRIMES), st.integers(1, 10**6))
-    def test_product_is_one(self, p, a):
-        if a % p == 0:
-            return
-        assert a * inv_mod(a, p) % p == 1
 
 
 class TestFloorMod:
@@ -246,45 +220,6 @@ class TestExponentVector:
 
     def test_len(self):
         assert len(ExponentVector((1, -2, 3))) == 3
-
-
-class TestMonomialEval:
-    def test_all_ones(self):
-        ctx = build_context(11)
-        assert monomial_eval(ctx, (1, 1, 1), ExponentVector((5, -2, 7))) == 1
-
-    def test_inverse_pair(self):
-        ctx = build_context(5)
-        assert monomial_eval(ctx, (2, 3), ExponentVector((-1, -1))) == 1
-
-    def test_zero_coordinate(self):
-        ctx = build_context(5)
-        with pytest.raises(ZeroCoordinateError):
-            monomial_eval(ctx, (2, 0), ExponentVector((1, 1)))
-
-    def test_against_independent_per_factor(self):
-        # Oracle: repeated multiplication; inverse by exhaustive search.
-        def slow_pow(x, e, p):
-            b = x % p
-            if e < 0:
-                b = next(c for c in range(1, p) if b * c % p == 1)
-                e = -e
-            acc = 1
-            for _ in range(e):
-                acc = acc * b % p
-            return acc
-
-        for p in (5, 7, 13):
-            ctx = build_context(p)
-            # The oracle tabulated once per (p, e) over x in [1, p-1].
-            table = {e: [0] + [slow_pow(x, e, p) for x in range(1, p)] for e in (-2, -1, 1, 2)}
-            for n in (1, 2, 3):
-                for e in itertools.product((-2, -1, 1, 2), repeat=n):
-                    for x in itertools.product(range(1, p), repeat=n):
-                        want = 1
-                        for xj, ej in zip(x, e):
-                            want = want * table[ej][xj] % p
-                        assert monomial_eval(ctx, x, ExponentVector(e)) == want
 
 
 class TestBox:

@@ -18,7 +18,7 @@ from boxsums.errors import (
     LambdaDivisibleError,
     PrincipalCharacterError,
 )
-from boxsums.modular import ExponentVector, box_powers, build_context, monomial_eval
+from boxsums.modular import ExponentVector, box_powers, build_context
 from boxsums.sampling import draw_spec, substream
 from boxsums.sums import (
     Box,
@@ -184,7 +184,7 @@ class TestMonomialSumNaive:
         for x1, x2 in itertools.product(range(2, 5), range(4, 7)):
             if x1 % 7 == 0 or x2 % 7 == 0:
                 continue
-            m = monomial_eval(ctx7, (x1, x2), spec.e)
+            m = math.prod(pow(x_j, e_j, 7) for x_j, e_j in zip((x1, x2), spec.e.e)) % 7
             w = cmath.exp(2j * cmath.pi * (x1 + 2 * x2) / 7)
             want += w * cmath.exp(2j * cmath.pi * (3 * m % 7) / 7)
         got = monomial_sum_naive(spec).value
