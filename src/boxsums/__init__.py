@@ -18,8 +18,6 @@ from .bounds import (
     BoundValue,
     SELECTORS,
     bound_value,
-    character_sum_bound_all_primes,
-    character_sum_bound_almost_all,
     character_sum_bound_moment,
     character_sum_bound_moment_almost_all,
     count_saving_exponent,

@@ -78,12 +78,6 @@ def monomial_sum_bound_all_primes(n: int, h: int, p: int) -> BoundValue:
     return BoundValue(value=v, branch=f"n={n}")
 
 
-def character_sum_bound_all_primes(n: int, h: int, p: int) -> BoundValue:
-    """Every-prime bound for the character sums; same display as the
-    monomial-sum version."""
-    return monomial_sum_bound_all_primes(n, h, p)
-
-
 def character_sum_bound_moment(n: int, h: int, p: int) -> BoundValue:
     """Moment-method bound for character sums, n in {3, 4}, piecewise in h.
 
@@ -126,11 +120,6 @@ def monomial_sum_bound_almost_all(n: int, h: int, p: int) -> BoundValue:
     return BoundValue(value=first + middle + last, branch=f"n={n}")
 
 
-def character_sum_bound_almost_all(n: int, h: int, p: int) -> BoundValue:
-    """Character-sum analogue of the almost-all-primes bound; same display."""
-    return monomial_sum_bound_almost_all(n, h, p)
-
-
 def character_sum_bound_moment_almost_all(n: int, h: int, p: int, r: int) -> BoundValue:
     """Almost-all-primes moment bound, four terms, valid for r >= 2.
 
@@ -151,17 +140,14 @@ def character_sum_bound_moment_almost_all(n: int, h: int, p: int, r: int) -> Bou
 
 
 def bound_value(selector: str, n: int, h: int, p: int, r: int = 2) -> BoundValue:
-    """Dispatch to one of the six bound families by selector name."""
-    if selector == S_ALL:
+    """Dispatch to one of the six bound families by selector name; the character
+    sums' t-all and t-almost share the displays of s-all and s-almost."""
+    if selector in (S_ALL, T_ALL):
         return monomial_sum_bound_all_primes(n, h, p)
-    if selector == T_ALL:
-        return character_sum_bound_all_primes(n, h, p)
     if selector == T_MOMENT:
         return character_sum_bound_moment(n, h, p)
-    if selector == S_ALMOST:
+    if selector in (S_ALMOST, T_ALMOST):
         return monomial_sum_bound_almost_all(n, h, p)
-    if selector == T_ALMOST:
-        return character_sum_bound_almost_all(n, h, p)
     if selector == T_MOMENT_ALMOST:
         return character_sum_bound_moment_almost_all(n, h, p, r)
     raise ValueError(f"unknown bound selector {selector!r}")

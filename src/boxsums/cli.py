@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: verify, sweep, prime-sweep, calibrate, sum, count.
-Exit codes: 0 success, 1 property failure, 2 config error, 3 internal error,
-141 (128 + SIGPIPE) stdout closed before the output was written.
+Exit codes: 0 success, 1 property failure, 2 config error (any refused input), 3
+internal error, 141 (128 + SIGPIPE) stdout closed before the output was written.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from . import counts, sums
 from .characters import MultChar
 from .config import KEYS, MODES, ExperimentConfig, apply_key, load_config
-from .errors import BoxsumsError, ConfigInvalidError, DimensionTooSmallError, NotPrimeError, TooLargeError
+from .errors import BoxsumsError, ConfigInvalidError
 from .harness import (
     CALIBRATION_TRIALS,
     CalibrationStore,
@@ -266,8 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         # The reader is gone: point stdout at devnull so the interpreter's final flush cannot raise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    # Out-of-range arguments raise ValueError (h >= p, say) or DimensionTooSmallError (a split with n = 1).
-    except (ConfigInvalidError, DimensionTooSmallError, NotPrimeError, TooLargeError, ValueError) as exc:
+    except ValueError as exc:  # every refused input: the errors that refuse one are ValueErrors
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except MemoryError as exc:  # an input too large for this host; numpy names the allocation

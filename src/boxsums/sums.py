@@ -4,9 +4,8 @@ Every sum excludes tuples with a coordinate congruent to 0 mod p.
 Each evaluator has a naive enumeration path plus a split path that
 factors the sum through partial monomial values; the split paths are
 cross-checked against the naive ones to within tau = 1e-9*(1+terms). Partial
-monomial values are held as (value, mass) entries. The bilinear sum contracts
-the entries of the two half boxes' distributions, each merged by residue (an
-unbuffered add into a length-p array) only when they outnumber p. The split
+monomial values are held as (value, mass) entries, one per tuple. The bilinear
+sum contracts the entries of the two half boxes' distributions. The split
 character sum folds coordinates 0..n-2 in one at a time: on entries while
 they number at most `dense_fold_limit(p)` (half of p-1), then on one dense
 array over the index domain, where each fold and the contraction are
@@ -100,8 +99,9 @@ WeightSystem = UnitWeights | PhaseWeights | TableWeights
 
 @dataclass(frozen=True)
 class SumSpec:
-    """One sum instance: context, box, exponents, weights, and shift lam;
-    frozen, so `coordinates`, built once per spec, always match the fields."""
+    """One sum instance: context, box, exponents, weights, and shift lam; checked
+    when built (every side below p, the weights against the box) and frozen, so
+    `coordinates`, built once per spec, always match the fields."""
 
     ctx: PrimeContext
     box: Box
@@ -157,12 +157,11 @@ def _terms(spec: SumSpec) -> int:
 
 def monomial_value_distribution(spec: SumSpec, lo: int = 0, hi: int | None = None) -> ResidueDistribution:
     """Distribution over u of the weight mass of tuples whose partial
-    monomial over coordinates lo..hi-1 equals u, as one entry per tuple,
-    merged by residue once they outnumber p; mass at 0 is empty."""
+    monomial over coordinates lo..hi-1 equals u, as one entry per tuple
+    (a consumer that needs one value per residue reads `values`); mass at 0 is empty."""
     if hi is None:
         hi = spec.n
-    dist = ResidueDistribution(spec.ctx, *_flatten_slice(spec, lo, hi))
-    return ResidueDistribution.from_values(spec.ctx, dist.values) if len(dist.points) > spec.ctx.p else dist
+    return ResidueDistribution(spec.ctx, *_flatten_slice(spec, lo, hi))
 
 
 def monomial_sum_naive(spec: SumSpec) -> SumResult:

@@ -44,8 +44,8 @@ class TestAllPrimesBound:
     def test_character_version_identical(self):
         for n in (4, 5, 6, 7):
             for h, p in ((3, 101), (10, 1009)):
-                a = bounds.monomial_sum_bound_all_primes(n, h, p).value
-                b = bounds.character_sum_bound_all_primes(n, h, p).value
+                a = bounds.bound_value(bounds.S_ALL, n, h, p).value
+                b = bounds.bound_value(bounds.T_ALL, n, h, p).value
                 assert a == b
 
     def test_n5_pinned(self):
@@ -109,8 +109,8 @@ class TestAlmostAllBounds:
 
     def test_character_version_identical(self):
         for n in range(2, 8):
-            a = bounds.monomial_sum_bound_almost_all(n, 5, 1009).value
-            b = bounds.character_sum_bound_almost_all(n, 5, 1009).value
+            a = bounds.bound_value(bounds.S_ALMOST, n, 5, 1009).value
+            b = bounds.bound_value(bounds.T_ALMOST, n, 5, 1009).value
             assert a == b
 
     def test_middle_term_never_dominates_even_n(self):

@@ -854,11 +854,12 @@ class TestCli:
         for argv in (
             "sweep --prime 101 --bound s-all --n 4 --h 3 --seed 1 --trials 0",
             "sweep --prime 101 --bound t-moment-almost --n 2 --h 30 --trials 1 --seed 1 --r 0",
+            "sweep --prime 101 --bound t-moment-almost --n 2 --h 30 --trials 1 --seed 1 --r 1",
             "prime-sweep --range 100 150 --nu 0",
             "prime-sweep --range 100 150 --h 0",
         ):
             assert cli.main(argv.split()) == 2, argv
-        assert capsys.readouterr().err.count("config error:") == 8
+        assert capsys.readouterr().err.count("config error:") == 9
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("extra", [[], ["--char-index", "1"]])

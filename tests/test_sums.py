@@ -124,18 +124,18 @@ class TestValueDistribution:
         np.add.at(dense, vals, wts)
         return dense, len(vals)
 
-    # (p, k, h, e, weights, merged): merged when the entries outnumber p.
+    # (p, k, h, e, weights)
     CASES = {
-        "multiples-of-p": (11, (5, 9, 20), 10, (2, -1, 1), None, True),
-        "multiples-of-p-one-coordinate": (11, (5,), 10, (2,), None, False),
-        "cancelling-table": (13, (0, 0), 12, (2, 1), "cancel", True),
-        "cancelling-table-first": (13, (0,), 12, (2,), "cancel", False),
-        "p10007-n7": (10007, (3, 1000, 5000, 9990, 0, 77, 10004), 5, (1, -1, 2, 1, -2, 3, 1), None, True),
+        "multiples-of-p": (11, (5, 9, 20), 10, (2, -1, 1), None),
+        "multiples-of-p-one-coordinate": (11, (5,), 10, (2,), None),
+        "cancelling-table": (13, (0, 0), 12, (2, 1), "cancel"),
+        "cancelling-table-first": (13, (0,), 12, (2,), "cancel"),
+        "p10007-n7": (10007, (3, 1000, 5000, 9990, 0, 77, 10004), 5, (1, -1, 2, 1, -2, 3, 1), None),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_matches_add_at_reference(self, case):
-        p, k, h, e, weights, merged = self.CASES[case]
+        p, k, h, e, weights = self.CASES[case]
         if weights == "cancel":
             # x and 13-x share a square: weights 1 and -1 cancel exactly at 4^2, 5^2, 6^2.
             first = [1.0] * 6 + [-1.0, -1.0, -1.0, 0.5, 0.5, 0.5]
@@ -147,13 +147,8 @@ class TestValueDistribution:
             dist = monomial_value_distribution(spec, lo, hi)
             want, tuples = self._add_at_reference(spec, lo, hi)
             assert np.array_equal(dist.values, want)
-            if (lo, hi) == (0, spec.n):
-                # Merged entries sit one per residue with nonzero mass; unmerged ones one per tuple.
-                assert (tuples > p) == merged
-                if merged:
-                    assert np.array_equal(dist.points, np.flatnonzero(want))
-                else:
-                    assert len(dist.points) == tuples
+            # One entry per tuple, also where the tuples outnumber p.
+            assert len(dist.points) == len(dist.mass) == tuples
 
 
 class TestMonomialSumNaive:
