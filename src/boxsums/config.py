@@ -102,15 +102,15 @@ KEYS = {
     "prime_range": ("prime_range", _pair, ("prime-sweep",)),
     "n": ("n", _ints, ("verify", "sweep")),
     "h": ("h", _ints, ("verify", "sweep", "prime-sweep")),
-    "e": ("exponent_pool", _ints, ("verify", "sweep", "calibrate")),
-    "weights": ("weights", str, ("sweep", "calibrate")),
+    "e": ("exponent_pool", _ints, ("verify", "sweep")),
+    "weights": ("weights", str, ("sweep",)),
     "lambda": ("lambda_value", int, ("sweep",)),  # also fixes lambda_policy
     "trials": ("trials", int, ("verify", "sweep", "calibrate")),
     "seed": ("seed", int, ("verify", "sweep", "calibrate")),
     "bound": ("bounds", str.split, ("sweep",)),
     "nu": ("nu", int, ("prime-sweep",)),
     "k": ("k", int, ("prime-sweep",)),
-    "r": ("r", int, ("sweep", "calibrate")),
+    "r": ("r", int, ("sweep",)),
     "out": ("out", str, ("sweep", "prime-sweep")),
     "format": ("format", str, ("sweep", "prime-sweep")),
 }

@@ -331,22 +331,14 @@ CALIBRATION_TRIALS = 50
 _MOMENT_PRIMES = (101, 257)
 
 
-def _verify_config(config: ExperimentConfig) -> ExperimentConfig:
-    return ExperimentConfig(
-        mode="verify",
-        primes=config.primes or list(DEFAULT_PRIMES),
-        seed=config.seed,
-        trials=5,
-    )
-
-
 # The calibrated theorem-ratio keys, one per family and n: "{selector}/n={n}".
 THEOREM_KEYS = tuple(f"{s}/n={n}" for s in CALIBRATED_SELECTORS for n in bounds.DIMS[s])
 
 
 def theorem_ratio_maxima(config: ExperimentConfig) -> list[float]:
     """The max sweep ratio per key of THEOREM_KEYS, in its order, over CALIBRATION_PRIMES at the
-    threshold-spanning side lengths, with the config's seed, trials, weights, exponent pool and r.
+    threshold-spanning side lengths, from the config's seed and trials alone: the grid fixes unit
+    weights, the default exponent pool and the default r, which no calibrated family reads.
     One joint sweep of every calibrated family (over its whole bounds.DIMS, which the default
     sweep dimensions keep), so families whose cells coincide share each evaluation."""
     sweep_cfg = ExperimentConfig(
@@ -355,9 +347,6 @@ def theorem_ratio_maxima(config: ExperimentConfig) -> list[float]:
         bounds=list(CALIBRATED_SELECTORS),
         trials=config.trials,
         seed=config.seed,
-        weights=config.weights,
-        exponent_pool=config.exponent_pool,
-        r=config.r,
     )
     best: dict[str, float] = {}
     for rec in run_sweep(sweep_cfg).records:
@@ -404,7 +393,10 @@ def run_calibrate(
     Idempotent for a fixed seed: re-running cannot lower stored maxima.
     """
     config.validate("calibrate")
-    report = run_verify(_verify_config(config), store=None, emit=lambda line: None)
+    gate = ExperimentConfig(
+        mode="verify", primes=config.primes or list(DEFAULT_PRIMES), seed=config.seed, trials=5
+    )
+    report = run_verify(gate, store=None, emit=lambda line: None)
     if not report.passed:
         raise VerifyNotGreenError("verification suite is not green")
 

@@ -175,7 +175,7 @@ _MODE_FLAGS = {
         "--bound", "--r", "--out", "--format",
     },
     "prime-sweep": {"--config", "--calibration", "--range", "--h", "--nu", "--k", "--out", "--format"},
-    "calibrate": {"--config", "--calibration", "--prime", "--e", "--weights", "--trials", "--seed", "--r"},
+    "calibrate": {"--config", "--calibration", "--prime", "--trials", "--seed"},
 }
 
 

@@ -451,6 +451,16 @@ class TestCalibrate:
         assert first == second
         assert "s-all/n=4" in first
 
+    def test_grid_ignores_weights_exponents_and_r(self, tmp_path, green_verify):
+        # A store's labels record its primes, threshold width and trials, so no other
+        # config field may move the maxima written under them.
+        stores = []
+        for extra in ({}, {"weights": "table", "exponent_pool": [1], "r": 5}):
+            store = CalibrationStore(str(tmp_path / f"c{len(stores)}.json"))
+            cfg = ExperimentConfig(mode="calibrate", seed=0, trials=2, **extra)
+            stores.append(run_calibrate(cfg, store, emit=lambda line: None).entries)
+        assert stores[0] == stores[1]
+
     def test_reproduces_committed_store(self, tmp_path, green_verify):
         committed = CalibrationStore(str(STORE_PATH)).entries
         store = CalibrationStore(str(tmp_path / "c.json"))
@@ -903,6 +913,10 @@ class TestCli:
             "prime-sweep --range 100 150 --seed 0 --out x.csv",
             "calibrate --seed 0 --calibration c.json --out x.csv",
             "calibrate --seed 0 --calibration c.json --format json",
+            # calibrate sweeps one fixed grid, which its store's labels describe.
+            "calibrate --seed 0 --calibration c.json --e 1",
+            "calibrate --seed 0 --calibration c.json --weights table",
+            "calibrate --seed 0 --calibration c.json --r 1",
         )
         for argv in argvs:
             with pytest.raises(SystemExit) as exc:
