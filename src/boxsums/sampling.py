@@ -2,10 +2,11 @@
 
 Every trial gets its own substream derived from (seed, cell key, trial
 index), so cells are reproducible independently and in any order.
-Each draw is one generator call per kind, and a run of scalars with different bounds may be
-one call with arrays of bounds: numpy draws a bounded integer below 2^32 from 32-bit words by
-Lemire's method, the same words for one value or an array, and doubles alike one at a time or
-as an array, so the streams equal per-coordinate draws.
+A run of bounded integers, each with its own bounds, is one generator call with arrays of
+bounds (an instance's corners, exponent picks, phases and lam are one): numpy draws a bounded
+integer below 2^32 from 32-bit words by Lemire's method, the same words for one value or an
+array, and doubles alike one at a time or as an array, so the streams equal per-coordinate
+draws.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from .modular import ExponentVector, PrimeContext
-from .sums import Box, PhaseWeights, SumSpec, TableWeights, UnitWeights, WeightSystem
+from .sums import Box, PhaseWeights, SumSpec, TableWeights, UnitWeights
 
 _MASK = (1 << 64) - 1
 
-# The weight kinds draw_weights dispatches on.
+# The weight kinds draw_spec draws.
 WEIGHT_KINDS = ("unit", "phase", "table")
 
 
@@ -32,30 +33,8 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
-def draw_corners(rng: np.random.Generator, p: int, n: int) -> tuple[int, ...]:
-    return tuple(rng.integers(0, p, size=n).tolist())
-
-
-def draw_exponents(rng: np.random.Generator, pool: list[int], n: int) -> ExponentVector:
-    return ExponentVector(tuple(pool[i] for i in rng.integers(0, len(pool), size=n).tolist()))
-
-
 def draw_coprime_lambda(rng: np.random.Generator, p: int) -> int:
     return int(rng.integers(1, p))
-
-
-def draw_weights(
-    rng: np.random.Generator, kind: str, p: int, n: int, h: int
-) -> WeightSystem:
-    if kind == "unit":
-        return UnitWeights()
-    if kind == "phase":
-        return PhaseWeights(rng.integers(0, p, size=n).tolist())
-    if kind == "table":
-        # Per coordinate, h uniform(0, 1) magnitudes then h uniform(0, 2*pi) phases.
-        u = rng.random((n, 2, h))
-        return TableWeights(u[:, 0] * np.exp(1j * (2 * np.pi * u[:, 1])))
-    raise ValueError(f"unknown weight kind {kind!r}")
 
 
 def draw_spec(
@@ -68,11 +47,28 @@ def draw_spec(
     origin_box: bool = False,
     lam: int | None = None,
 ) -> SumSpec:
-    """One random sum instance; origin_box forces all corners to 0."""
+    """One random sum instance; origin_box forces all corners to 0. One generator call draws
+    the corners, the exponent picks, the phase kind's lambda_j and lam when not given; the
+    table kind draws its h uniform(0, 1) magnitudes then h uniform(0, 2*pi) phases per
+    coordinate after them, and then lam."""
+    if weight_kind not in WEIGHT_KINDS:
+        raise ValueError(f"unknown weight kind {weight_kind!r}")
     p = ctx.p
-    corners = (0,) * n if origin_box else draw_corners(rng, p, n)
-    e = draw_exponents(rng, pool, n)
-    weights = draw_weights(rng, weight_kind, p, n, h)
+    corners = 0 if origin_box else n
+    phases = n if weight_kind == "phase" else 0
+    lam_now = lam is None and weight_kind != "table"
+    # lam is 1 + a draw below p - 1, the same words as a draw from [1, p) (numpy draws low plus
+    # a value below high - low), since a call whose lows are all 0 takes half the time.
+    highs = [p] * corners + [len(pool)] * n + [p] * phases + [p - 1] * lam_now
+    draws = rng.integers(0, highs).tolist()
+    e = ExponentVector(tuple(pool[i] for i in draws[corners : corners + n]))
+    weights = UnitWeights()
+    if weight_kind == "phase":
+        weights = PhaseWeights(draws[corners + n : corners + 2 * n])
+    elif weight_kind == "table":
+        u = rng.random((n, 2, h))
+        weights = TableWeights(u[:, 0] * np.exp(1j * (2 * np.pi * u[:, 1])))
     if lam is None:
-        lam = draw_coprime_lambda(rng, p)
-    return SumSpec(ctx=ctx, box=Box(corners, h), e=e, weights=weights, lam=lam)
+        lam = draws[-1] + 1 if lam_now else draw_coprime_lambda(rng, p)
+    k = (0,) * n if origin_box else tuple(draws[:n])
+    return SumSpec(ctx=ctx, box=Box(k, h), e=e, weights=weights, lam=lam)

@@ -3,13 +3,15 @@
 A check registers with `@check(name)`: the registry builds its CheckResult,
 passes it to the check body as `out`, and returns it. The body tallies each
 instance with `out.add(residual, *failures)`, which counts the instance, keeps
-the running max of the residual (from 0.0) and records each failure that is a
-message; bodies pass `cond and f"..."`, so a message is formatted only when
-the check fails. Checks that walk the same grid share its generator, and each
-computes its own values. The suite carries a fixed inventory of check names
-and refuses to run if the registry does not cover it exactly.
+the running max of the residual (from 0.0; a NaN residual is kept and fails)
+and records each failure that is a message; bodies pass `cond and f"..."`, so a
+message is formatted only when the check fails. Checks that walk the same grid
+share its generator, and each computes its own values. The suite carries a fixed
+inventory of check names and refuses to run if the registry does not cover it exactly.
 `monomial-factor-agreement` checks the interval kernel of the counts and of the sums'
-coordinate pass against `_slow_pow`, an oracle that does not call the built-in `pow`.
+coordinate pass against `_slow_pow`, an oracle that does not call the built-in `pow`:
+its tabulated rows are multiplied over each box as one numpy outer product, apart from
+`box_powers` and `monomial_values`.
 """
 
 from __future__ import annotations
@@ -74,9 +76,14 @@ class CheckResult:
 
     def add(self, residual: float = 0.0, *failures, instances: int = 1) -> None:
         """Tally instances with their worst residual, and keep each failure
-        that is a message (a falsy one is a condition that held)."""
+        that is a message (a falsy one is a condition that held). A NaN residual,
+        which compares false with every tolerance, is a failure and the max from then on."""
+        if not residual <= self.max_residual:  # a larger residual, or a NaN on either side
+            if math.isnan(residual):
+                failures += (f"NaN residual after {self.instances} instances",)
+            if not math.isnan(self.max_residual):
+                self.max_residual = residual
         self.instances += instances
-        self.max_residual = max(self.max_residual, residual)
         self.failures.extend(f for f in failures if f)
 
     @property
@@ -198,19 +205,21 @@ def _check_monomial(grid: VerifyGrid, store, out: CheckResult) -> None:
     at each tuple of [1, p-1]^n, against products of tabulated `_slow_pow`."""
     for p in [q for q in grid.primes if q <= 13]:
         ctx = grid.ctx(p)
-        oracle = {ej: [_slow_pow(x, ej, p) for x in range(1, p)] for ej in (-2, -1, 1, 2)}
+        oracle = {ej: np.array([_slow_pow(x, ej, p) for x in range(1, p)]) for ej in (-2, -1, 1, 2)}
         for n in (1, 2, 3):
+            shape = (p - 1,) * n
             for e in itertools.product(oracle, repeat=n):
-                kernel = monomial_values(box_powers(ctx, Box((0,) * n, p - 1), e)[0], p).tolist()
-                want = [math.prod(f) % p for f in itertools.product(*(oracle[ej] for ej in e))]
+                kernel = monomial_values(box_powers(ctx, Box((0,) * n, p - 1), e)[0], p)
+                # Products over the tuples of [1, p-1]^n, the last coordinate fastest (< 13^3 in int64).
+                want = (np.prod(np.meshgrid(*(oracle[ej] for ej in e), indexing="ij"), axis=0) % p).ravel()
+                m = min(len(kernel), len(want))
                 # One tally per e: each tuple is an instance, and a message is built only for a mismatch.
                 out.add(
                     0.0,
                     len(kernel) != len(want) and f"p={p}, e={e}: {len(kernel)} kernel values, want {len(want)}",
                     *(
-                        f"p={p}, x={x}, e={e}"
-                        for x, got, w in zip(itertools.product(range(1, p), repeat=n), kernel, want)
-                        if got != w
+                        f"p={p}, x={tuple(int(c) + 1 for c in np.unravel_index(i, shape))}, e={e}"
+                        for i in np.flatnonzero(kernel[:m] != want[:m])
                     ),
                     instances=len(want),
                 )
@@ -389,9 +398,9 @@ def _random_spec_stream(grid: VerifyGrid, tag: int, trials: int):
     """Stream of random specs over the grid primes with n in 2..4, h < p."""
     for trial in range(trials):
         rng = substream(grid.seed, tag, trial)
-        p = grid.primes[int(rng.integers(0, len(grid.primes)))]
+        i, n = rng.integers([0, 2], [len(grid.primes), 5]).tolist()
+        p = grid.primes[i]
         ctx = grid.ctx(p)
-        n = int(rng.integers(2, 5))
         h = int(rng.integers(1, min(p, 9)))
         kind = WEIGHT_KINDS[trial % len(WEIGHT_KINDS)]
         yield trial, ctx, draw_spec(rng, ctx, n, h, list(grid.exponent_pool), kind), rng

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -545,6 +546,17 @@ class TestCheckResult:
         out.add(0.0, "finding")
         assert out.passed
 
+    def test_nan_residual_fails_and_stays_the_max(self):
+        # max(0.0, nan) is 0.0 and nan > tol is False, so a NaN must be caught by add itself.
+        out = CheckResult("c")
+        out.add(0.5, instances=2)
+        out.add(float("nan"), False)
+        out.add(np.float64("nan"))
+        out.add(3.0)
+        assert out.instances == 5 and np.isnan(out.max_residual)
+        assert out.failures == ["NaN residual after 2 instances", "NaN residual after 3 instances"]
+        assert not out.passed
+
 
 class TestVerifySuite:
     def test_quick_grid_green(self):
@@ -572,19 +584,43 @@ class TestVerifySuite:
 
         real = verify_mod.monomial_values
 
+        # (p, n) -> the flat index corrupted, and its tuple with the last coordinate fastest.
+        faults = {(5, 1): (2, (3,)), (11, 2): (17, (2, 8)), (5, 3): (37, (3, 2, 2))}
+
         def corrupted(powers, p):
             vals = real(powers, p).copy()
-            if p == 11 and len(powers) == 2:
-                vals[17] = (vals[17] + 1) % p  # the tuple x = (2, 8)
+            if (p, len(powers)) in faults:
+                i = faults[p, len(powers)][0]
+                vals[i] = (vals[i] + 1) % p
             return vals
 
         monkeypatch.setattr(verify_mod, "monomial_values", corrupted)
         result = verify_mod.CHECKS["monomial-factor-agreement"](verify_mod.VerifyGrid(primes=(5, 11)), None)
         assert not result.passed
         assert result.instances == 4 * 4 + 16 * 16 + 64 * 64 + 4 * 10 + 16 * 100 + 64 * 1000
-        assert len(result.failures) == 16
-        assert all(f.startswith("p=11, x=(2, 8), e=(") for f in result.failures)
+        pool = (-2, -1, 1, 2)
+        assert result.failures == [
+            f"p={p}, x={faults[p, n][1]}, e={e}"
+            for p, n in ((5, 1), (5, 3), (11, 2))
+            for e in itertools.product(pool, repeat=n)
+        ]
+        assert len(result.failures) == 4 + 64 + 16
         assert "p=11, x=(2, 8), e=(-2, 1)" in result.failures
+
+    def test_nan_sum_fails_method_agreement(self, monkeypatch):
+        def nan_sum(spec):
+            return SumResult(complex("nan"), sums.monomial_sum_naive(spec).terms, "bilinear")
+
+        monkeypatch.setattr(sums, "monomial_sum_bilinear", nan_sum)
+        result = CHECKS["sum-methods-agree-S"](VerifyGrid(primes=(5, 7), trials=2), None)
+        assert result.instances == 2 * 2 * 3 * 3 and np.isnan(result.max_residual)
+        assert len(result.failures) == result.instances and not result.passed
+
+    def test_nan_majorant_fails_cauchy(self, monkeypatch):
+        monkeypatch.setattr(sums, "cauchy_majorant", lambda spec: float("nan"))
+        result = CHECKS["cauchy-majorant"](VerifyGrid(primes=(5, 7)), None)
+        assert result.instances == 1000 and np.isnan(result.max_residual)
+        assert len(result.failures) == 1000 and not result.passed
 
     def test_monomial_check_catches_coordinate_fault(self, monkeypatch):
         from boxsums import verify as verify_mod

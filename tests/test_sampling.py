@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from boxsums.modular import PrimeContext, build_context
-from boxsums.sampling import draw_exponents, draw_spec, draw_weights, substream
+from boxsums.sampling import draw_spec, substream
 from boxsums.sums import PhaseWeights, TableWeights, UnitWeights
 
 MASK = (1 << 64) - 1
@@ -21,8 +21,9 @@ POOLS = (
 
 @pytest.mark.parametrize("pool", POOLS, ids=lambda pool: ",".join(map(str, pool)))
 def test_draw_exponents_is_rng_choice_draw_for_draw(pool):
+    # On the origin box with lam given, draw_spec's unit kind draws the exponent picks alone.
     ours, ref = substream(5, len(pool)), substream(5, len(pool))
-    got = draw_exponents(ours, pool, 1000).e
+    got = draw_spec(ours, build_context(101), 1000, 1, pool, "unit", origin_box=True, lam=1).e.e
     assert got == tuple(int(ref.choice(pool)) for _ in range(1000))
     assert ours.bit_generator.state == ref.bit_generator.state
     assert ours.random() == ref.random()
@@ -64,11 +65,38 @@ def test_substream_is_default_rng_of_masked_key(seed, key):
         assert ours.random(3).tolist() == ref.random(3).tolist()
 
 
+class _CountingRng:
+    """A generator that records the name of each method draw_spec calls on it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def integers(self, *args, **kwargs):
+        self.calls.append("integers")
+        return self.rng.integers(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        self.calls.append("random")
+        return self.rng.random(*args, **kwargs)
+
+
+@pytest.mark.parametrize("origin_box", [False, True])
+@pytest.mark.parametrize("kind", ["unit", "phase", "table"])
+def test_draw_spec_generator_calls(kind, origin_box):
+    # The bounded integers are one call; the table kind's doubles come before a drawn lam.
+    for lam, want in ((None, ["integers", "random", "integers"]), (5, ["integers", "random"])):
+        spy = _CountingRng(substream(2, 101, 4))
+        draw_spec(spy, build_context(101), 4, 8, [-2, -1, 1, 2], kind, origin_box, lam)
+        assert spy.calls == (want if kind == "table" else ["integers"]), lam
+
+
 @pytest.mark.parametrize("n", [1, 4])
 @pytest.mark.parametrize("h", [1, 8])
 def test_table_weights_are_per_coordinate_uniform_draws(n, h):
+    # A one-exponent pool's picks consume no draw, so on the origin box with lam given
+    # draw_spec's table kind draws the weights alone.
     ours, ref = substream(3, n, h), substream(3, n, h)
-    got = draw_weights(ours, "table", 101, n, h).tables
+    got = draw_spec(ours, build_context(101), n, h, [1], "table", origin_box=True, lam=1).weights.tables
     want = []
     for _ in range(n):
         mag = ref.uniform(0.0, 1.0, size=h)
@@ -135,12 +163,15 @@ def test_draw_spec_equals_per_coordinate_draws(p, kind):
 
 def _bound_runs(p):
     """The runs of scalar draws that `harness.char_moment_shape_ratio` and verify's
-    `char-moment-direct-recount` and `kloosterman-specialization` take as one call."""
+    `char-moment-direct-recount`, `kloosterman-specialization` and `_random_spec_stream`
+    (a grid prime's index and n, on grids of one and of six primes) take as one call."""
     if p > 3:  # h is drawn from [3, p)
         yield [1, 3, 0, 1], [p - 1, p, p, p]
     yield [1, 1, 0, 1], [p - 1, min(p, 9), p, p]
     for n in (2, 4, 7):
         yield [0] * n + [1], [p] * (n + 1)
+    for primes in (1, 6):
+        yield [0, 2], [primes, 5]
 
 
 @pytest.mark.parametrize("p", [3, 5, 101, 10007, 2**31 - 1])
